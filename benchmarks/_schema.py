@@ -17,11 +17,11 @@ payload in the same envelope via :func:`write_artifact`::
       "data": { ...benchmark-specific payload, unchanged... }
     }
 
-so downstream tooling (CI artifact diffing, EXPERIMENTS.md aggregation) can
-identify any result file without per-benchmark knowledge.  Artifacts written
-during a pytest session are registered in :data:`WRITTEN_ARTIFACTS`;
-``benchmarks/conftest.py`` re-validates each one at session teardown, which
-catches writers that bypass the envelope or emit unreadable JSON.
+so downstream tooling (CI artifact diffing) can identify any result file
+without per-benchmark knowledge.  Artifacts written during a pytest session
+are registered in :data:`WRITTEN_ARTIFACTS`; ``benchmarks/conftest.py``
+re-validates each one at session teardown, which catches writers that
+bypass the envelope or emit unreadable JSON.
 """
 
 from __future__ import annotations

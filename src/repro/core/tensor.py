@@ -67,6 +67,7 @@ __all__ = [
     "infer_ring",
     "join_rings",
     "make_tensor",
+    "max_magnitudes",
     "tensor_nbytes",
 ]
 
@@ -705,6 +706,23 @@ def collapse_limbs(planes: np.ndarray) -> np.ndarray:
     for plane in planes[::-1]:
         total += plane
     return total
+
+
+def max_magnitudes(planes) -> np.ndarray:
+    """Largest coefficient magnitude per instance of ``(limbs, m, rows, width)``.
+
+    ``planes`` is one real limb tensor or a ``(real, imag)`` pair.  Limbs
+    collapse like :meth:`repro.md.MultiDouble.to_float` and complex moduli
+    use ``np.hypot`` (which matches Python's ``abs(complex)`` bit for bit,
+    where ``np.abs`` on complex128 can round one ulp differently), so entry
+    ``i`` equals the scalar :func:`repro.homotopy.residual_norm` of
+    instance ``i``'s unpacked series.
+    """
+    if isinstance(planes, tuple):
+        magnitudes = np.hypot(collapse_limbs(planes[0]), collapse_limbs(planes[1]))
+    else:
+        magnitudes = np.abs(collapse_limbs(planes))
+    return magnitudes.max(axis=(1, 2))
 
 
 def convolve_rows(x: np.ndarray, y: np.ndarray, limbs: int) -> np.ndarray:

@@ -12,7 +12,7 @@ The efficiencies are derived *programmatically* from one published column:
 the convolution-kernel times of ``p1`` at degree 152 on the V100 (Table 5 of
 the paper), reproduced verbatim in :data:`PAPER_V100_P1_CONVOLUTION_MS`.
 Every other table and figure is then predicted with these seven numbers held
-fixed; EXPERIMENTS.md reports how far that single-point calibration carries.
+fixed.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ contents it
 
 The numerical results are bit-for-bit what the host ``staged`` mode produces
 (same error-free transformations in the same order), which the integration
-tests assert; the timings are model predictions (this machine has no CUDA
-device), which EXPERIMENTS.md compares against the paper.
+tests assert; the timings are model predictions (no CUDA device is needed),
+which the ``benchmarks/bench_table*.py`` modules compare against the paper.
 """
 
 from __future__ import annotations

@@ -11,21 +11,25 @@ Newton step doubles the number of correct series coefficients, so
 ``ceil(log2(d + 1))`` steps suffice for a series truncated at degree ``d`` —
 a property the test suite checks explicitly.
 
-Both Newton drivers evaluate through one resident
-:class:`repro.core.EvalContext` held across *all* iterations: the fused slot
-tensor is packed exactly once per refinement, every subsequent iteration
-updates only the input slots in place, and the final residual check unpacks
-values only.  Callers that run many refinements against structurally
-identical systems (the path tracker) can pass their own ``context`` to keep
-even that single pack amortised across steps.
+Every Newton iteration in the package runs through one masked kernel,
+:func:`_refine`: both drivers below, the many-path scheduler
+(:mod:`repro.homotopy.scheduler`) and the solve service
+(:mod:`repro.service.fleet`) only differ in how they set up the lanes of one
+:class:`repro.core.EvalContext` and how they report the per-lane outcome.
+The context is packed at most once per refinement; every iteration masks
+the sweep to the still-pending lanes and rewrites only their input slots.
+On a tensor-resident context the residual norms, the Newton systems and one
+batched elimination stay in the limb tensor; delegating contexts (and
+``solver="scalar"``) solve each lane with the scalar :func:`lu_solve`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from ..core.tensor import max_magnitudes
 from ..errors import ConvergenceError, SingularSystemError, StagingError
 from ..series.series import PowerSeries
 from .batch_linsolve import solve_packed
@@ -34,37 +38,6 @@ from .options import NewtonOptions
 from .systems import PolynomialSystem
 
 __all__ = ["NewtonStep", "NewtonResult", "newton_power_series", "newton_power_series_batch"]
-
-
-_LEGACY_NEWTON_MESSAGE = (
-    "the per-keyword Newton knobs (max_iterations, tolerance, "
-    "raise_on_failure, mode, solver) are deprecated; pass "
-    "options=NewtonOptions(...) instead"
-)
-
-
-def _resolve_newton_options(options: NewtonOptions | None, **legacy) -> tuple[NewtonOptions, bool]:
-    """Layer the deprecated per-keyword knobs into one :class:`NewtonOptions`.
-
-    ``options`` wins when given (mixing it with legacy keywords is an
-    error, since the two could silently disagree); legacy keywords build an
-    equivalent options object — bit-identical behaviour.  Returns the
-    resolved options and whether legacy keywords were used; the *public*
-    driver emits the :class:`DeprecationWarning` itself (with a literal
-    ``stacklevel=2``) so the warning location always names its caller
-    regardless of how many frames this helper sits below.
-    """
-    given = {key: value for key, value in legacy.items() if value is not None}
-    if options is not None:
-        if given:
-            raise ValueError(
-                "pass either options= or the legacy keywords "
-                f"({', '.join(sorted(given))}), not both"
-            )
-        return options, False
-    if given:
-        return NewtonOptions(**given), True
-    return NewtonOptions(), False
 
 
 @dataclass(frozen=True)
@@ -116,9 +89,7 @@ def _ensure_context(system: PolynomialSystem, batch: int, context):
 def newton_power_series(
     system: PolynomialSystem,
     initial: Sequence[PowerSeries],
-    max_iterations: int | None = None,
-    tolerance: float | None = None,
-    raise_on_failure: bool | None = None,
+    *,
     context=None,
     options: NewtonOptions | None = None,
 ) -> NewtonResult:
@@ -137,126 +108,60 @@ def newton_power_series(
         iteration bound, the residual tolerance (largest coefficient of
         ``F(z)`` rounded to a double) and the failure policy
         (:class:`repro.errors.ConvergenceError` on a missed tolerance when
-        ``raise_on_failure`` is set).  Defaults to ``NewtonOptions()``.
-    max_iterations, tolerance, raise_on_failure:
-        Deprecated per-keyword forms of the same knobs; they build an
-        equivalent options object (bit-identical results) and warn.
+        ``raise_on_failure`` is set).  Defaults to ``NewtonOptions()``;
+        its ``mode`` and ``solver`` are ignored — this driver evaluates in
+        the system's own mode and always solves with the scalar
+        :func:`lu_solve`.
     context:
         An optional resident :class:`repro.core.EvalContext` (batch 1) to
         evaluate through — the path tracker passes one so consecutive steps
         share a single packed tensor.  Without one, a context is created
         for this refinement, so the whole iteration still packs only once.
     """
-    options, deprecated = _resolve_newton_options(
-        options,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        raise_on_failure=raise_on_failure,
-    )
-    if deprecated:
-        warnings.warn(_LEGACY_NEWTON_MESSAGE, DeprecationWarning, stacklevel=2)
-    max_iterations = options.max_iterations
-    tolerance = options.tolerance
-    raise_on_failure = options.raise_on_failure
-    if not system.is_square:
-        raise ConvergenceError(
-            f"Newton needs a square system, got {system.n_equations} equations "
-            f"in {system.dimension} variables"
-        )
-    context = _ensure_context(system, 1, context)
-    z = [series.copy() for series in initial]
-    result = NewtonResult(solution=z)
-    for iteration in range(1, max_iterations + 1):
-        context.update_inputs([z])
-        evaluations = context.run()[0]
-        residual_vector = [e.value for e in evaluations]
-        residual = residual_norm(residual_vector)
-        if residual <= tolerance:
-            result.steps.append(NewtonStep(iteration, residual, 0.0))
-            result.converged = True
-            return result
-        jacobian = system.jacobian(evaluations)
-        negated = [-value for value in residual_vector]
-        correction = lu_solve(jacobian, negated)
-        z = [current + delta for current, delta in zip(z, correction)]
-        result.solution = z
-        result.steps.append(NewtonStep(iteration, residual, residual_norm(correction)))
-    context.update_inputs([z])
-    final = residual_norm([e.value for e in context.run(values_only=True)[0]])
-    result.converged = final <= tolerance
-    if not result.converged and raise_on_failure:
-        raise ConvergenceError(
-            f"Newton did not reach tolerance {tolerance} in {max_iterations} iterations "
-            f"(residual {final})"
-        )
-    return result
+    options = replace(options or NewtonOptions(), mode=None, solver="scalar")
+    return newton_power_series_batch(
+        system, [initial], context=context, options=options
+    )[0]
 
 
 def newton_power_series_batch(
     system: PolynomialSystem,
     initials: Sequence[Sequence[PowerSeries]],
-    max_iterations: int | None = None,
-    tolerance: float | None = None,
-    raise_on_failure: bool | None = None,
-    mode: str | None = None,
-    solver: str | None = None,
+    *,
     context=None,
     options: NewtonOptions | None = None,
 ) -> list[NewtonResult]:
     """Refine several power-series solutions of ``system`` in one batched sweep.
 
-    Per instance this performs exactly the iteration of
-    :func:`newton_power_series`, but every Newton step evaluates the system
-    at all instances through **one resident context sweep**
-    (:meth:`repro.core.EvalContext.run`): the fused slot tensor of the whole
-    batch is packed exactly once, each iteration scatters only the updated
-    solution series into the input slots, and the final residual check
-    unpacks values only.  This is the throughput shape of the paper's
-    motivating application: many independent solution paths, one wide launch
-    sequence, with the data resident across steps.
+    Every instance is one lane of the masked Newton kernel :func:`_refine`
+    on one resident context: the fused slot tensor of the whole batch is
+    packed once, each iteration sweeps only the still-pending instances,
+    and a tensor-resident context solves all of them in one batched
+    elimination (:func:`repro.homotopy.batch_linsolve.solve_packed`,
+    bit-identical to per-instance :func:`lu_solve` at double-double
+    precision).  This is the throughput shape of the paper's motivating
+    application: many independent solution paths, one wide launch sequence,
+    with the data resident across steps.
 
-    When the context is tensor-resident, the *linear solve* stays in the
-    tensor too: residual norms read the value rows directly, the Jacobians
-    and negated values gather into packed limb tensors
-    (:meth:`repro.core.EvalContext.newton_system`, no unpack-to-series round
-    trip), and all pending instances eliminate together through the batched
-    :func:`repro.homotopy.batch_linsolve.solve_packed` — bit-identical to
-    per-instance :func:`lu_solve` at double-double precision.
-
-    All knobs travel in one :class:`repro.homotopy.options.NewtonOptions`
-    (``options=``); the per-keyword forms below are deprecated shims that
-    build an equivalent object (bit-identical results) and warn.
+    All knobs travel in one :class:`repro.homotopy.options.NewtonOptions`.
     ``options.mode`` re-targets the system's execution mode for this
-    refinement (e.g. ``"vectorized"`` runs every sweep through the
-    tensorized NumPy backend); ``None`` keeps the system's own mode.
-    ``options.solver`` picks the linear-solve path: ``"auto"`` (default)
-    uses the batched tensor solver whenever the context is resident and the
-    scalar oracle otherwise, ``"scalar"`` forces per-instance
-    :func:`lu_solve` (the oracle, and the only path for
-    staged/fraction/delegating contexts), and ``"batched"`` requires
-    residency, raising :class:`repro.errors.StagingError` when the context
-    delegates.  ``context`` optionally supplies a caller-held resident
-    context (the path tracker shares one across its steps); it must match
-    the batch size, otherwise a fresh context is created.
+    refinement (``None`` keeps the system's own mode).  ``options.solver``
+    picks the linear-solve path: ``"auto"`` (default) uses the batched
+    tensor solver whenever the context is resident and the scalar oracle
+    otherwise, ``"scalar"`` forces per-instance :func:`lu_solve`, and
+    ``"batched"`` requires residency, raising
+    :class:`repro.errors.StagingError` when the context delegates.
+    ``context`` optionally supplies a caller-held context; it must match the
+    batch size and structure, otherwise a fresh context is created.
 
-    Returns one :class:`NewtonResult` per initial vector, in order.  With
+    Returns one :class:`NewtonResult` per initial vector, in order.  A
+    singular Newton system drops only its own instance from the iteration;
+    once the others finish, :class:`repro.errors.SingularSystemError` is
+    raised with ``instances`` naming every singular instance.  With
     ``options.raise_on_failure`` a :class:`repro.errors.ConvergenceError` is
     raised when any instance misses the tolerance.
     """
-    options, deprecated = _resolve_newton_options(
-        options,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        raise_on_failure=raise_on_failure,
-        mode=mode,
-        solver=solver,
-    )
-    if deprecated:
-        warnings.warn(_LEGACY_NEWTON_MESSAGE, DeprecationWarning, stacklevel=2)
-    max_iterations = options.max_iterations
-    tolerance = options.tolerance
-    raise_on_failure = options.raise_on_failure
-    solver = options.solver
+    options = options or NewtonOptions()
     system = system.with_mode(options.mode)
     if not system.is_square:
         raise ConvergenceError(
@@ -266,134 +171,141 @@ def newton_power_series_batch(
     if not initials:
         return []
     solutions = [[series.copy() for series in initial] for initial in initials]
-    results = [NewtonResult(solution=z) for z in solutions]
     context = _ensure_context(system, len(solutions), context)
-    active = list(range(len(solutions)))
-    # Whether to sweep through the resident context is decided after the
-    # first sweep (packing reveals whether the ring is tensor-resident).  A
-    # resident tensor always carries the full batch — converged instances
-    # keep their last inputs, their outputs are ignored, and the elementwise
-    # tensor operations make the per-instance results identical to an
-    # active-only sweep.  Delegating contexts (staged/parallel/gpu/
-    # reference/fraction-fallback) pay per evaluated instance, so after the
-    # first iteration they evaluate only the still-active instances, as the
-    # pre-residency code did.
-    use_context = True
-    for iteration in range(1, max_iterations + 1):
-        if not active:
-            break
-        if use_context:
-            context.update_inputs(solutions)
-            if solver == "batched" and not context.resident:
-                raise StagingError(
-                    "solver='batched' needs a tensor-resident context; this one "
-                    "delegates (staged/fraction/non-vectorized mode) — use "
-                    "solver='auto' or 'scalar'"
-                )
-            if solver != "scalar" and context.resident:
-                active = _resident_newton_step(
-                    context, solutions, results, active, iteration, tolerance
-                )
-                continue
-            evaluations_batch = context.run()
-            if iteration == 1 and not context.resident:
-                use_context = False
-        else:
-            active_evaluations = system.evaluate_batch(
-                [solutions[i] for i in active]
-            )
-            evaluations_batch = dict(zip(active, active_evaluations))
-        survivors: list[int] = []
-        for index in active:
-            evaluations = evaluations_batch[index]
-            residual_vector = [e.value for e in evaluations]
-            residual = residual_norm(residual_vector)
-            result = results[index]
-            if residual <= tolerance:
-                result.steps.append(NewtonStep(iteration, residual, 0.0))
-                result.converged = True
-                continue
-            jacobian = system.jacobian(evaluations)
-            negated = [-value for value in residual_vector]
-            correction = lu_solve(jacobian, negated)
-            z = [current + delta for current, delta in zip(solutions[index], correction)]
-            solutions[index] = z
-            result.solution = z
-            result.steps.append(NewtonStep(iteration, residual, residual_norm(correction)))
-            survivors.append(index)
-        active = survivors
-    if active:
-        # Instances that ran out of iterations: check the final residual in
-        # one values-only sweep, exactly as the scalar path does.
-        if use_context and solver != "scalar" and context.resident:
-            context.update_inputs(solutions)
-            context.run_packed()
-            norms = context.residual_norms()
-            for index in active:
-                results[index].converged = float(norms[index]) <= tolerance
-        else:
-            if use_context:
-                context.update_inputs(solutions)
-                finals = context.run(values_only=True)
-            else:
-                finals = dict(
-                    zip(active, system.evaluate_batch([solutions[i] for i in active]))
-                )
-            for index in active:
-                final = residual_norm([e.value for e in finals[index]])
-                results[index].converged = final <= tolerance
-    if raise_on_failure:
-        failed = [i for i, result in enumerate(results) if not result.converged]
-        if failed:
-            raise ConvergenceError(
-                f"Newton did not reach tolerance {tolerance} in {max_iterations} "
-                f"iterations for instances {failed}"
-            )
-    return results
-
-
-def _resident_newton_step(
-    context, solutions, results, active: list[int], iteration: int, tolerance: float
-) -> list[int]:
-    """One fully tensor-resident Newton iteration over the active instances.
-
-    Sweeps once, reads the per-instance residual norms off the value rows,
-    and solves the Newton systems of every still-pending instance in one
-    batched elimination — evaluation and solve both NumPy end-to-end.
-    Returns the surviving (not yet converged) instance indices.
-    """
-    context.run_packed()
-    norms = context.residual_norms()
-    pending: list[tuple[int, float]] = []
-    for index in active:
-        residual = float(norms[index])
-        result = results[index]
-        if residual <= tolerance:
-            result.steps.append(NewtonStep(iteration, residual, 0.0))
-            result.converged = True
-            continue
-        pending.append((index, residual))
-    if not pending:
-        return []
-    indices = [index for index, _ in pending]
-    matrix, rhs = context.newton_system(indices)
-    try:
-        solution = solve_packed(matrix, rhs, context.ring[1])
-    except SingularSystemError as error:
-        positions = getattr(error, "instances", [])
-        labels = ", ".join(str(indices[p]) for p in positions)
-        remapped = SingularSystemError(
-            f"singular Newton system for batch instance(s) {labels}"
+    results, singular = _refine(context, solutions, range(len(solutions)), options)
+    if singular:
+        singular = sorted(singular)
+        error = SingularSystemError(
+            "singular Newton system for batch instance(s) "
+            + ", ".join(map(str, singular))
         )
-        remapped.instances = [indices[p] for p in positions]
-        raise remapped from error
-    corrections = context.unpack_vectors(solution)
-    survivors: list[int] = []
-    for (index, residual), correction in zip(pending, corrections):
-        z = [current + delta for current, delta in zip(solutions[index], correction)]
-        solutions[index] = z
-        result = results[index]
-        result.solution = z
-        result.steps.append(NewtonStep(iteration, residual, residual_norm(correction)))
-        survivors.append(index)
-    return survivors
+        error.instances = singular
+        raise error
+    failed = [lane for lane, result in results.items() if not result.converged]
+    if options.raise_on_failure and failed:
+        raise ConvergenceError(
+            f"Newton did not reach tolerance {options.tolerance} in "
+            f"{options.max_iterations} iterations for instances {failed}"
+        )
+    return list(results.values())
+
+
+def _refine(
+    context, solutions: list, lanes: Sequence[int], options: NewtonOptions
+) -> tuple[dict[int, NewtonResult], list[int]]:
+    """The masked Newton kernel every refinement in the package runs.
+
+    ``context`` is an :class:`repro.core.EvalContext` already bound to the
+    lanes' systems; ``solutions`` holds one input vector per batch lane
+    (lanes outside ``lanes`` are padding: loaded on the first pack, never
+    swept).  Each iteration masks the context to the pending lanes, sweeps,
+    converges the lanes whose residual norm meets the tolerance, and solves
+    the Newton systems of the rest — one :func:`solve_packed` over the
+    resident tensor, or a scalar :func:`lu_solve` per lane on delegating
+    contexts and with ``options.solver == "scalar"``.  A lane whose system
+    is singular is dropped; every other lane adds its correction in series
+    space and stays pending.  Lanes still pending after the last iteration
+    get one values-only residual check.
+
+    ``solutions[lane]`` is replaced by each corrected vector.  Returns one
+    :class:`NewtonResult` per lane, in ``lanes`` order, and the singular
+    lanes in the order they were dropped (their last step records the
+    residual with a ``nan`` correction).
+    """
+    results = {lane: NewtonResult(solution=solutions[lane]) for lane in lanes}
+    singular: list[int] = []
+    pending = list(results)
+    tolerance = options.tolerance
+    for iteration in range(1, options.max_iterations + 1):
+        if not pending:
+            break
+        residuals, rows = _sweep(context, solutions, pending, options.solver, False)
+        unsolved = []
+        for lane, residual in zip(pending, residuals):
+            if residual <= tolerance:
+                results[lane].steps.append(NewtonStep(iteration, residual, 0.0))
+                results[lane].converged = True
+            else:
+                unsolved.append((lane, residual))
+        corrections = _corrections(context, rows, [lane for lane, _ in unsolved])
+        pending = []
+        for lane, residual in unsolved:
+            result = results[lane]
+            if lane not in corrections:
+                result.steps.append(NewtonStep(iteration, residual, math.nan))
+                singular.append(lane)
+                continue
+            correction, norm = corrections[lane]
+            z = [current + delta for current, delta in zip(solutions[lane], correction)]
+            solutions[lane] = result.solution = z
+            result.steps.append(NewtonStep(iteration, residual, norm))
+            pending.append(lane)
+    if pending:
+        finals, _ = _sweep(context, solutions, pending, options.solver, True)
+        for lane, final in zip(pending, finals):
+            results[lane].converged = final <= tolerance
+    context.set_active(None)
+    return results, singular
+
+
+def _sweep(context, solutions, lanes: list[int], solver: str, values_only: bool):
+    """Load and sweep ``lanes``; return their residual norms and the rows.
+
+    The rows are ``None`` on the resident path, whose norms and Newton
+    systems are read straight off the tensor; otherwise they are the
+    per-lane evaluation results of :meth:`repro.core.EvalContext.run`.
+    """
+    context.set_active(None if len(lanes) == context.batch else lanes)
+    context.update_inputs(solutions)
+    if solver == "batched" and not context.resident:
+        raise StagingError(
+            "solver='batched' needs a tensor-resident context; this one "
+            "delegates (staged/fraction/non-vectorized mode) — use "
+            "solver='auto' or 'scalar'"
+        )
+    if solver != "scalar" and context.resident:
+        context.run_packed()
+        norms = context.residual_norms()
+        return [float(norms[lane]) for lane in lanes], None
+    rows = context.run(values_only=values_only)
+    return [residual_norm([e.value for e in rows[lane]]) for lane in lanes], rows
+
+
+def _corrections(context, rows, lanes: list[int]) -> dict:
+    """Solve ``J dz = -F`` for ``lanes``: ``{lane: (dz, norm of dz)}``.
+
+    Singular lanes are left out.  On the resident path (``rows is None``)
+    one :func:`solve_packed` eliminates every lane, re-solving without the
+    lanes a singular pivot names, and the correction norms come from the
+    solution tensor.
+    """
+    if not lanes:
+        return {}
+    if rows is not None:
+        corrections = {}
+        for lane in lanes:
+            evaluations = rows[lane]
+            try:
+                delta = lu_solve(
+                    [list(e.gradient) for e in evaluations],
+                    [-e.value for e in evaluations],
+                )
+            except SingularSystemError:
+                continue
+            corrections[lane] = (delta, residual_norm(delta))
+        return corrections
+    matrix, rhs = context.newton_system(lanes)
+    solving = list(range(len(lanes)))
+    while solving:
+        active = None if len(solving) == len(lanes) else solving
+        try:
+            solution = solve_packed(matrix, rhs, context.ring[1], active=active)
+            break
+        except SingularSystemError as error:
+            dropped = set(error.instances)
+            solving = [k for k in solving if k not in dropped]
+    else:
+        return {}
+    deltas = context.unpack_vectors(solution)
+    norms = max_magnitudes(solution)
+    return {lanes[k]: (deltas[k], float(norms[k])) for k in solving}

@@ -18,9 +18,11 @@ shape, and this module provides it:
   (:meth:`repro.core.EvalContext.set_active`) and of the batched linear solve
   (the ``active`` mask of :func:`repro.homotopy.batch_linsolve.solve_packed`)
   instead of being repacked away — the surviving batch packs its slot tensor
-  **once**, which the test suite asserts.  Because every tensor row operation
-  is elementwise per instance, masking cannot change any surviving path's
-  bits;
+  **once**, which the test suite asserts.  Each round refines every running
+  path as one lane of the package's masked Newton kernel
+  (:func:`repro.homotopy.newton._refine`), the same iteration the Newton
+  drivers and the solve service run.  Because every tensor row operation is
+  elementwise per instance, masking cannot change any surviving path's bits;
 * **a fleet of local systems in one tensor** — after the first rejection the
   paths sit at *different* parameter values, so each instance needs its own
   local system.  :meth:`repro.core.EvalContext.rebind_fleet` rewrites each
@@ -54,13 +56,15 @@ from time import perf_counter_ns as _perf_counter_ns
 from typing import Callable, Sequence
 
 from ..core.tensor import infer_ring
-from ..errors import ConvergenceError, SingularSystemError, StagingError
+from ..errors import ConvergenceError
 from ..md.complexmd import ComplexMD
 from ..md.multidouble import MultiDouble
 from ..obs import get_telemetry
 from ..series.series import PowerSeries
-from .linsolve import lu_solve, residual_norm
-from .batch_linsolve import solve_packed
+# perfbench's wrapper-install test resolves ``solve_packed`` through this
+# module and ``repro.service.fleet``; the Newton kernel is its only caller.
+from .batch_linsolve import solve_packed  # noqa: F401
+from .newton import _refine
 from .options import TrackOptions
 from .pathtrack import PathPoint, PathTrackResult, _advance, _promote_step
 from .systems import PolynomialSystem, lift_value
@@ -443,22 +447,19 @@ class PathScheduler:
                 )
             context.rebind_fleet(list(evaluators))
 
-            outcome = self._refine(context, running, solutions)
+            # Each running path is one lane of the masked Newton kernel; a
+            # singular lane fails only its own path.
+            results, singular = _refine(context, solutions, running, options.newton)
             for p in running:
                 state = states[p]
-                verdict = outcome[p]
-                if verdict["singular"]:
-                    state.residual = verdict["residual"]
+                result = results[p]
+                state.residual = result.final_residual
+                if p in singular:
                     state.fail("singular")
-                    continue
-                state.residual = verdict["residual"]
-                missed = not verdict["converged"] and (
-                    verdict["residual"] > options.newton.tolerance
-                )
-                if missed:
+                elif not result.converged and state.residual > options.newton.tolerance:
                     self._reject(state, solutions[p], t_end)
                 else:
-                    self._accept(state, solutions[p], verdict, t_end)
+                    self._accept(state, solutions[p], result.iterations, t_end)
             if r0:
                 tel.record_span(
                     "scheduler.round",
@@ -470,7 +471,6 @@ class PathScheduler:
                 )
         if options.retry.detect_crossings:
             self._flag_crossings(states)
-        context.set_active(None)
         report.cache = context.evaluator.cache.stats()
         report.fleets.append(
             {
@@ -494,143 +494,15 @@ class PathScheduler:
             )
 
     # ------------------------------------------------------------------ #
-    def _refine(self, context, running: list[int], solutions) -> dict[int, dict]:
-        """Newton-refine every running fleet position, masked and in place.
-
-        Mirrors :func:`repro.homotopy.newton_power_series_batch` instance for
-        instance — same sweeps, same batched solve, same convergence
-        predicate — except that (a) only the pending instances sweep (the
-        active mask), and (b) singular instances are *dropped* from the
-        batched elimination and reported in their verdicts instead of
-        raising, so one singular path cannot abort the fleet.
-        """
-        newton = self.options.newton
-        verdicts = {
-            p: {"converged": False, "residual": math.inf, "iterations": 0, "singular": False}
-            for p in running
-        }
-        pending = list(running)
-        for iteration in range(1, newton.max_iterations + 1):
-            if not pending:
-                break
-            context.set_active(pending)
-            context.update_inputs(solutions)
-            if newton.solver == "batched" and not context.resident:
-                raise StagingError(
-                    "solver='batched' needs a tensor-resident context; this one "
-                    "delegates (staged/fraction/non-vectorized mode) — use "
-                    "solver='auto' or 'scalar'"
-                )
-            if newton.solver != "scalar" and context.resident:
-                pending = self._resident_iteration(
-                    context, pending, solutions, verdicts, iteration
-                )
-            else:
-                pending = self._delegating_iteration(
-                    context, pending, solutions, verdicts, iteration
-                )
-        if pending:
-            # Out of iterations: one values-only sweep decides convergence,
-            # exactly like the Newton drivers' final residual check.
-            context.set_active(pending)
-            context.update_inputs(solutions)
-            if newton.solver != "scalar" and context.resident:
-                context.run_packed()
-                norms = context.residual_norms()
-                for p in pending:
-                    verdicts[p]["converged"] = float(norms[p]) <= newton.tolerance
-            else:
-                finals = context.run(values_only=True)
-                for p in pending:
-                    final = residual_norm([e.value for e in finals[p]])
-                    verdicts[p]["converged"] = final <= newton.tolerance
-        return verdicts
-
-    def _resident_iteration(
-        self, context, pending: list[int], solutions, verdicts, iteration: int
-    ) -> list[int]:
-        """One masked tensor-resident Newton iteration with singular-drop."""
-        tolerance = self.options.newton.tolerance
-        context.run_packed()
-        norms = context.residual_norms()
-        still: list[int] = []
-        for p in pending:
-            residual = float(norms[p])
-            verdicts[p]["residual"] = residual
-            verdicts[p]["iterations"] = iteration
-            if residual <= tolerance:
-                verdicts[p]["converged"] = True
-            else:
-                still.append(p)
-        if not still:
-            return []
-        matrix, rhs = context.newton_system(still)
-        limbs = context.ring[1]
-        solve = list(range(len(still)))
-        solution = None
-        while solve:
-            try:
-                mask = None if len(solve) == len(still) else solve
-                solution = solve_packed(matrix, rhs, limbs, active=mask)
-                break
-            except SingularSystemError as error:
-                bad = set(getattr(error, "instances", []))
-                if not bad:
-                    raise
-                for k in bad:
-                    verdicts[still[k]]["singular"] = True
-                solve = [k for k in solve if k not in bad]
-        survivors: list[int] = []
-        if solution is not None:
-            corrections = context.unpack_vectors(solution)
-            for k in solve:
-                p = still[k]
-                solutions[p] = [
-                    current + delta
-                    for current, delta in zip(solutions[p], corrections[k])
-                ]
-                survivors.append(p)
-        return survivors
-
-    def _delegating_iteration(
-        self, context, pending: list[int], solutions, verdicts, iteration: int
-    ) -> list[int]:
-        """One masked per-call-path Newton iteration (staged/fraction/scalar)."""
-        tolerance = self.options.newton.tolerance
-        results = context.run()
-        survivors: list[int] = []
-        for p in pending:
-            evaluations = results[p]
-            residual_vector = [e.value for e in evaluations]
-            residual = residual_norm(residual_vector)
-            verdicts[p]["residual"] = residual
-            verdicts[p]["iterations"] = iteration
-            if residual <= tolerance:
-                verdicts[p]["converged"] = True
-                continue
-            jacobian = [list(e.gradient) for e in evaluations]
-            negated = [-value for value in residual_vector]
-            try:
-                correction = lu_solve(jacobian, negated)
-            except SingularSystemError:
-                verdicts[p]["singular"] = True
-                continue
-            solutions[p] = [
-                current + delta for current, delta in zip(solutions[p], correction)
-            ]
-            survivors.append(p)
-        return survivors
-
-    # ------------------------------------------------------------------ #
-    def _accept(self, state: _PathState, solution, verdict, t_end: float) -> None:
+    def _accept(self, state: _PathState, solution, iterations: int, t_end: float) -> None:
         """Record the accepted trial point and predict the next one."""
         step = self.options.step
         state.points.append(
             PathPoint(
                 t=state.t_trial,
                 values=tuple(series.constant_term() for series in solution),
-                residual=verdict["residual"],
-                newton_iterations=verdict["iterations"],
+                residual=state.residual,
+                newton_iterations=iterations,
             )
         )
         state.series = solution
@@ -638,7 +510,7 @@ class PathScheduler:
         if state.t_accepted >= t_end:
             state.status = "converged"
             return
-        if verdict["iterations"] <= step.fast_iterations:
+        if iterations <= step.fast_iterations:
             state.h = min(state.h * step.grow, step.max)
         self._predict(state, t_end)
 

@@ -63,8 +63,8 @@ class SolveRequest:
         """The tensor ring a resident solve of this request would pack.
 
         ``None`` for rings the tensor backend cannot carry (exact
-        fractions) — such requests still coalesce by structure, but the
-        engine solves them per request through the delegating path.
+        fractions) — such requests still coalesce by structure, and the
+        engine solves their bucket through the delegating path.
         """
         system_ring = self.system.evaluator._ring_of_system()
         input_ring = infer_ring(self.initial)

@@ -63,8 +63,8 @@ class ServiceConfig:
         context pool keeps warm.
     mode:
         Execution mode requests are re-targeted to (``"vectorized"`` is the
-        resident fast path; other modes solve correctly but delegate
-        per-request).
+        resident fast path; other modes solve correctly but delegate each
+        lane to the per-call path).
     workers:
         Threads of the flush executor — how many structure buckets may
         solve concurrently.

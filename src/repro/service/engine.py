@@ -44,7 +44,6 @@ from time import perf_counter_ns as _perf_counter_ns
 from typing import Optional
 
 from ..errors import ConvergenceError, ServiceError, ServiceOverloadedError
-from ..homotopy.newton import newton_power_series_batch
 from ..obs import get_telemetry
 from .api import SolveRequest, SolveResponse, TrackRequest
 from .config import ServiceConfig, coerce_service_layer, resolve_service_config
@@ -298,47 +297,30 @@ class SolveEngine:
         mode = bucket.config.mode
         systems = [request.system.with_mode(mode) for request in requests]
         ring = bucket.key[3]
-        results = errors = None
-        sweeps = 0
-        if ring is not None:
-            t0 = tel.enabled and _perf_counter_ns()
-            context = self.pool.checkout(
-                bucket.key, lambda slab: systems[0].make_context(slab)
-            )
-            runs_before = context.runs
-            try:
-                span = tel.enabled and _perf_counter_ns()
-                if span:
-                    tel.record_span(
-                        "service.rebind", t0, span, fill=k, warm=context.packs > 0
-                    )
-                results, errors = coalesced_newton(
-                    context, systems, [r.initial for r in requests], options
+        t0 = tel.enabled and _perf_counter_ns()
+        context = self.pool.checkout(
+            bucket.key, lambda slab: systems[0].make_context(slab)
+        )
+        runs_before = context.runs
+        try:
+            span = tel.enabled and _perf_counter_ns()
+            if span:
+                tel.record_span(
+                    "service.rebind", t0, span, fill=k, warm=context.packs > 0
                 )
-                sweeps = context.runs - runs_before
-            finally:
-                self.pool.checkin(bucket.key, context)
-            if results is not None and tel.enabled:
-                end = _perf_counter_ns()
-                measured_ms = (end - t0) / 1e6
+            results, errors = coalesced_newton(
+                context, systems, [r.initial for r in requests], options
+            )
+            sweeps = context.runs - runs_before
+        finally:
+            self.pool.checkin(bucket.key, context)
+        if tel.enabled:
+            end = _perf_counter_ns()
+            tel.record_span("service.solve", t0, end, fill=k, sweeps=sweeps)
+            if context.resident:
                 predicted = self._predict_coalesce(systems[0], k, sweeps, ring)
-                tel.record_span("service.solve", t0, end, fill=k, sweeps=sweeps)
                 if predicted is not None:
-                    tel.ledger("coalesce", measured_ms, predicted)
-        if results is None:
-            # No resident path (exact rings, non-tensor modes): solve each
-            # request alone through the ordinary batched driver.
-            results, errors = [], {}
-            for index, request in enumerate(requests):
-                try:
-                    results.append(
-                        newton_power_series_batch(
-                            systems[index], [request.initial], options=options
-                        )[0]
-                    )
-                except Exception as error:
-                    results.append(None)
-                    errors[index] = error
+                    tel.ledger("coalesce", (end - t0) / 1e6, predicted)
         responses = []
         for index, result in enumerate(results):
             if result is None:

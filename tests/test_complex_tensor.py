@@ -41,6 +41,7 @@ from repro.core import (
 )
 from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     TaylorPathTracker,
     newton_power_series,
@@ -536,7 +537,9 @@ class TestResidentNewton:
             ]
             for _ in range(3)
         ]
-        results = newton_power_series_batch(system, initials, max_iterations=3)
+        results = newton_power_series_batch(
+            system, initials, options=NewtonOptions(max_iterations=3)
+        )
         assert counts["packs"] == 1
         assert len(results) == 3
         assert all(r.iterations >= 1 for r in results)
@@ -557,9 +560,11 @@ class TestResidentNewton:
             ]
             for _ in range(3)
         ]
-        staged = newton_power_series_batch(system, initials, max_iterations=3)
+        staged = newton_power_series_batch(
+            system, initials, options=NewtonOptions(max_iterations=3)
+        )
         vectorized = newton_power_series_batch(
-            system, initials, max_iterations=3, mode="vectorized"
+            system, initials, options=NewtonOptions(max_iterations=3, mode="vectorized")
         )
         for a, b in zip(staged, vectorized):
             assert a.iterations == b.iterations
@@ -579,8 +584,12 @@ class TestResidentNewton:
             )
             for _ in range(system.dimension)
         ]
-        first = newton_power_series(system, initial, max_iterations=2, context=context)
-        second = newton_power_series(system, initial, max_iterations=2, context=context)
+        first = newton_power_series(
+            system, initial, context=context, options=NewtonOptions(max_iterations=2)
+        )
+        second = newton_power_series(
+            system, initial, context=context, options=NewtonOptions(max_iterations=2)
+        )
         assert context.packs == 1  # both refinements shared one packed tensor
         assert [s.residual for s in first.steps] == [s.residual for s in second.steps]
 

@@ -10,6 +10,7 @@ import pytest
 from repro.circuits import parse_polynomial
 from repro.errors import ConvergenceError, SingularSystemError
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     TaylorPathTracker,
     lu_solve,
@@ -137,7 +138,9 @@ class TestNewton:
         degree = 10
         system = self._sqrt_system(degree)
         result = newton_power_series(
-            system, [PowerSeries.constant(1.0, degree)], max_iterations=6, tolerance=1e-14
+            system,
+            [PowerSeries.constant(1.0, degree)],
+            options=NewtonOptions(max_iterations=6, tolerance=1e-14),
         )
         assert result.converged
         coefficients = result.solution[0].coefficients
@@ -151,12 +154,16 @@ class TestNewton:
         degree = 15
         system = self._sqrt_system(degree)
         exact = newton_power_series(
-            system, [PowerSeries.constant(1.0, degree)], max_iterations=8, tolerance=0.0
+            system,
+            [PowerSeries.constant(1.0, degree)],
+            options=NewtonOptions(max_iterations=8, tolerance=0.0),
         ).solution[0]
         correct_counts = []
         for iterations in (1, 2, 3, 4):
             approx = newton_power_series(
-                system, [PowerSeries.constant(1.0, degree)], max_iterations=iterations, tolerance=-1.0
+                system,
+                [PowerSeries.constant(1.0, degree)],
+                options=NewtonOptions(max_iterations=iterations, tolerance=-1.0),
             ).solution[0]
             correct = 0
             for a, b in zip(approx.coefficients, exact.coefficients):
@@ -182,7 +189,9 @@ class TestNewton:
         q.constant.coefficients[1] = -1.0
         system = PolynomialSystem([p, q])
         start = [PowerSeries.constant(2.1, degree), PowerSeries.constant(0.9, degree)]
-        result = newton_power_series(system, start, max_iterations=12, tolerance=1e-12)
+        result = newton_power_series(
+            system, start, options=NewtonOptions(max_iterations=12, tolerance=1e-12)
+        )
         assert result.converged
         total = result.solution[0] + result.solution[1]
         product = result.solution[0] * result.solution[1]
@@ -203,15 +212,17 @@ class TestNewton:
             newton_power_series(
                 system,
                 [PowerSeries.constant(1.0, degree)],
-                max_iterations=1,
-                tolerance=1e-30,
-                raise_on_failure=True,
+                options=NewtonOptions(max_iterations=1, tolerance=1e-30, raise_on_failure=True),
             )
 
     def test_step_diagnostics_recorded(self):
         degree = 6
         system = self._sqrt_system(degree)
-        result = newton_power_series(system, [PowerSeries.constant(1.0, degree)], max_iterations=4)
+        result = newton_power_series(
+            system,
+            [PowerSeries.constant(1.0, degree)],
+            options=NewtonOptions(max_iterations=4),
+        )
         assert result.iterations >= 1
         assert result.steps[0].residual >= result.final_residual
 
@@ -233,9 +244,13 @@ class TestBatchedNewton:
             [PowerSeries.constant(1.5, degree)],
             [PowerSeries.constant(0.7, degree)],
         ]
-        batch = newton_power_series_batch(system, starts, max_iterations=6, tolerance=1e-14)
+        batch = newton_power_series_batch(
+            system, starts, options=NewtonOptions(max_iterations=6, tolerance=1e-14)
+        )
         for start, batched in zip(starts, batch):
-            scalar = newton_power_series(system, start, max_iterations=6, tolerance=1e-14)
+            scalar = newton_power_series(
+                system, start, options=NewtonOptions(max_iterations=6, tolerance=1e-14)
+            )
             assert batched.converged == scalar.converged
             assert batched.iterations == scalar.iterations
             for mine, theirs in zip(batched.solution, scalar.solution):
@@ -248,11 +263,15 @@ class TestBatchedNewton:
         degree = 6
         system = self._sqrt_system(degree)
         starts = [[PowerSeries.constant(1.0, degree)], [PowerSeries.constant(1.0, degree)]]
-        results = newton_power_series_batch(system, starts, max_iterations=1, tolerance=1e-30)
+        results = newton_power_series_batch(
+            system, starts, options=NewtonOptions(max_iterations=1, tolerance=1e-30)
+        )
         assert not any(result.converged for result in results)
         with pytest.raises(ConvergenceError):
             newton_power_series_batch(
-                system, starts, max_iterations=1, tolerance=1e-30, raise_on_failure=True
+                system,
+                starts,
+                options=NewtonOptions(max_iterations=1, tolerance=1e-30, raise_on_failure=True),
             )
 
     def test_non_square_rejected(self):

@@ -15,7 +15,7 @@ from repro.analysis.experiments import launch_structure
 from repro.circuits.testpolys import make_polynomial_from_structure, p1_structure
 from repro.core import schedule_for_polynomial
 from repro.gpusim import GPUSimulator, tflops
-from repro.homotopy import PolynomialSystem, newton_power_series
+from repro.homotopy import NewtonOptions, PolynomialSystem, newton_power_series
 from repro.series import PowerSeries, random_md_series, random_fraction_series
 
 
@@ -70,7 +70,9 @@ class TestFullPipelineSmall:
         q = parse_polynomial("x1 - x2", degree=degree, kind="float")
         system = PolynomialSystem([p, q], mode="staged")
         start = [PowerSeries.constant(1.0, degree), PowerSeries.constant(1.0, degree)]
-        result = newton_power_series(system, start, max_iterations=8, tolerance=1e-13)
+        result = newton_power_series(
+            system, start, options=NewtonOptions(max_iterations=8, tolerance=1e-13)
+        )
         assert result.converged
         x1 = result.solution[0]
         assert x1.coefficients[1] == pytest.approx(0.25, abs=1e-10)  # d/dt sqrt(1+t/2) at 0

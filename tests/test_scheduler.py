@@ -8,9 +8,9 @@ The contracts under test are the tracker redesign's headline guarantees:
 * paths that fail at the working precision escalate up the configured
   precision ladder as one fresh lifted fleet per rung, without touching the
   bits of the paths that already finished;
-* the one :class:`TrackOptions` object carries every knob, the deprecated
-  keyword signatures build bit-identical shims, and mixing the two styles
-  is rejected.
+* the one :class:`TrackOptions` object carries every knob, the tracker's
+  deprecated keyword signature builds a bit-identical shim, and mixing the
+  two styles is rejected.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from repro.homotopy import (
     align_path_points,
     batch_lu_solve,
     lift_value,
-    newton_power_series,
-    newton_power_series_batch,
     track_paths,
 )
 from repro.md import ComplexMD, MultiDouble
@@ -213,55 +211,11 @@ class TestDeprecationShims:
             TaylorPathTracker(sqrt_family, options=TrackOptions())
             TaylorPathTracker(sqrt_family)
 
-    def test_newton_legacy_keywords_warn_and_match(self):
-        degree = 8
-        system = sqrt_family(0.0, degree)
-        start = [PowerSeries.constant(1.0, degree)]
-        with pytest.warns(DeprecationWarning):
-            old = newton_power_series(system, start, max_iterations=5, tolerance=1e-13)
-        new = newton_power_series(
-            system, start, options=NewtonOptions(max_iterations=5, tolerance=1e-13)
-        )
-        assert old.converged == new.converged
-        assert old.iterations == new.iterations
-        for mine, theirs in zip(old.solution, new.solution):
-            assert mine.max_abs_error(theirs) == 0.0
-
-    def test_newton_batch_legacy_keywords_warn_and_match(self):
-        degree = 6
-        system = sqrt_family(0.0, degree)
-        starts = [[PowerSeries.constant(1.0, degree)], [PowerSeries.constant(1.5, degree)]]
-        with pytest.warns(DeprecationWarning):
-            old = newton_power_series_batch(system, starts, max_iterations=4)
-        new = newton_power_series_batch(
-            system, starts, options=NewtonOptions(max_iterations=4)
-        )
-        for a, b in zip(old, new):
-            assert a.iterations == b.iterations
-            for mine, theirs in zip(a.solution, b.solution):
-                assert mine.max_abs_error(theirs) == 0.0
-
-    def test_newton_rejects_mixed_styles(self):
-        degree = 4
-        system = sqrt_family(0.0, degree)
-        start = [PowerSeries.constant(1.0, degree)]
-        with pytest.raises(ValueError, match="not both"):
-            newton_power_series(system, start, max_iterations=5, options=NewtonOptions())
-
     def test_deprecation_warnings_point_at_the_caller(self):
         """Every shim warns with ``stacklevel=2``: the reported location is
         this file — the caller — never the library frame that raised it."""
-        degree = 4
-        system = sqrt_family(0.0, degree)
-        start = [PowerSeries.constant(1.0, degree)]
         with pytest.warns(DeprecationWarning) as record:
-            newton_power_series(system, start, max_iterations=3)
-        assert [w.filename for w in record] == [__file__]
-        with pytest.warns(DeprecationWarning) as record:
-            newton_power_series_batch(system, [start], max_iterations=3)
-        assert [w.filename for w in record] == [__file__]
-        with pytest.warns(DeprecationWarning) as record:
-            TaylorPathTracker(sqrt_family, degree=degree)
+            TaylorPathTracker(sqrt_family, degree=4)
         assert [w.filename for w in record] == [__file__]
 
 

@@ -309,7 +309,8 @@ class TestEngine:
             TrackRequest(family="not-callable", start=[1.0])
 
     def test_non_tensor_ring_falls_back_to_solo(self):
-        """Exact fraction coefficients cannot pack; requests solve per-call."""
+        """Exact fraction coefficients cannot pack; the bucket still solves
+        in one call, through the Newton kernel's delegating branch."""
         fraction = parse_polynomial(
             "x1^2 - 2", dimension=1, degree=DEGREE, kind="fraction"
         )

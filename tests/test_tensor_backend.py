@@ -28,6 +28,7 @@ from repro.core import (
     infer_ring,
 )
 from repro.homotopy import (
+    NewtonOptions,
     PolynomialSystem,
     TaylorPathTracker,
     newton_power_series_batch,
@@ -497,9 +498,11 @@ class TestHomotopyWiring:
              for _ in range(system.dimension)]
             for _ in range(3)
         ]
-        staged = newton_power_series_batch(system, initials, max_iterations=3)
+        staged = newton_power_series_batch(
+            system, initials, options=NewtonOptions(max_iterations=3)
+        )
         vectorized = newton_power_series_batch(
-            system, initials, max_iterations=3, mode="vectorized"
+            system, initials, options=NewtonOptions(max_iterations=3, mode="vectorized")
         )
         for a, b in zip(staged, vectorized):
             assert a.iterations == b.iterations
