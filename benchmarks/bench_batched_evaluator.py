@@ -1,9 +1,9 @@
 """Micro-benchmarks of the batched system-evaluation engine.
 
-Compares the pre-subsystem client pattern — a fresh per-polynomial
-:class:`repro.core.PolynomialEvaluator` per equation per input vector, which
-is exactly what the Newton/path-tracking layer did before the batched engine
-(every system rebuild restaged every schedule) — against one
+Compares the pre-subsystem client pattern — a fresh one-equation evaluator
+per equation per input vector, each restaging its schedule, which is exactly
+what the Newton/path-tracking layer did before the batched engine (every
+system rebuild restaged every schedule) — against one
 :class:`repro.core.SystemEvaluator` sweep over the same inputs with a warm
 schedule cache.  Also records the schedule-cache hit rates and the launch
 fusion factor (fused launches vs. the per-equation launch sequences summed).
@@ -23,7 +23,7 @@ import pytest
 
 from conftest import emit
 from repro.circuits.testpolys import make_polynomial_from_structure, p1_structure
-from repro.core import PolynomialEvaluator, ScheduleCache, SystemEvaluator
+from repro.core import ScheduleCache, SystemEvaluator
 from repro.series import random_series_vector
 
 DEGREE = 8
@@ -50,9 +50,16 @@ def workload():
 
 
 def scalar_loop(polynomials, zs):
-    """The baseline: fresh per-polynomial evaluators, one call per (z, p)."""
+    """The baseline: fresh per-polynomial evaluators, one call per (z, p).
+
+    Each evaluator gets its own empty schedule cache, so every one restages
+    its polynomial as the pre-engine clients did.
+    """
     return [
-        [PolynomialEvaluator(p, mode="staged").evaluate(z) for p in polynomials]
+        [
+            SystemEvaluator([p], mode="staged", cache=ScheduleCache()).evaluate(z)[0]
+            for p in polynomials
+        ]
         for z in zs
     ]
 

@@ -156,7 +156,7 @@ def _predicted_speedup(fill: int) -> float | None:
     if fill < 1:
         return None
     request = _build_requests(1, seed=0)[0]
-    model = TimingModel(device=request.system.evaluator.device, precision=LIMBS)
+    model = TimingModel(precision=LIMBS)
     prediction = model.predict_coalesce(
         request.system.evaluator.fused, requests=fill,
         steps=OPTIONS.max_iterations,

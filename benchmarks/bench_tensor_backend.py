@@ -1,9 +1,9 @@
 """Benchmarks of the tensorized execution backend (``mode="vectorized"``).
 
 Measures the throughput of the whole-layer NumPy multidouble sweeps of
-:mod:`repro.core.tensor` against the staged Python loop and the thread-pool
-parallel dispatch, over batch size, truncation degree and precision
-(2/4/8 limbs), on mini versions of the paper's three test systems.  The
+:mod:`repro.core.tensor` against the staged Python loop, over batch size,
+truncation degree and precision (2/4/8 limbs), on mini versions of the
+paper's three test systems.  The
 headline gate — vectorized vs. staged on a batched ``p1`` sweep (batch 8,
 double doubles) — is the acceptance number of the backend; results are
 persisted both as a text table and as machine-readable JSON under
@@ -107,7 +107,7 @@ def _compare(name, degree, precision, batch, modes=("staged", "vectorized"), thi
 def test_tensor_backend_sweeps():
     """The headline gate plus the batch/degree/precision/system sweeps."""
     headline = _compare(
-        "p1", degree=8, precision=2, batch=8, modes=("staged", "parallel", "vectorized")
+        "p1", degree=8, precision=2, batch=8, modes=("staged", "vectorized")
     )
     sweeps = {
         "batch": [_compare("p1", 4, 2, batch) for batch in (1, 4, 8)],
@@ -127,12 +127,11 @@ def test_tensor_backend_sweeps():
     write_artifact("bench_tensor_backend", payload)
 
     lines = [
-        "tensorized backend vs staged/parallel sweeps "
+        "tensorized backend vs staged sweeps "
         f"(mini paper systems, min of {REPETITIONS})",
         f"  headline (p1, degree 8, 2 limbs, batch 8, "
         f"{headline['equations']} equations x {headline['monomials_per_equation']} monomials):",
         f"    staged     : {headline['seconds']['staged']:.3f} s",
-        f"    parallel   : {headline['seconds']['parallel']:.3f} s",
         f"    vectorized : {headline['seconds']['vectorized']:.3f} s "
         f"({headline['speedup_vs_staged']:.1f}x vs staged)",
         f"    max deviation vs staged: {headline['max_deviation_vs_staged']:.3e}",

@@ -19,13 +19,15 @@ The package is organised in layers (see DESIGN.md for the full inventory):
     paper's test polynomials ``p1``, ``p2``, ``p3``.
 ``repro.core``
     The paper's contribution: the data layout of the flat array ``A``, the
-    data staging of convolution and addition jobs into layers, and the
-    :class:`PolynomialEvaluator` front end.
+    data staging of convolution and addition jobs into layers, and the one
+    evaluation engine :class:`SystemEvaluator` (``reference``, ``staged``
+    and ``vectorized`` modes; :class:`PolynomialEvaluator` is its
+    one-equation form).
 ``repro.gpusim``
-    The simulated GPU substrate: Table 1 device specs, the shared-memory
-    capacity model, functional kernels and the calibrated timing model.
+    The modelled GPU substrate: Table 1 device specs, the shared-memory
+    capacity model and the calibrated timing model that prices a schedule.
 ``repro.parallel``
-    Host-side multi-threaded execution of the layered schedule.
+    Process-sharded path fleets on shared-memory limb tensors.
 ``repro.obs``
     Fleet telemetry: spans, counters/gauges, Chrome/Perfetto trace export
     and the measured-vs-predicted timing ledger (default-off).
@@ -86,7 +88,7 @@ from .core import (
     build_schedule,
     schedule_for_polynomial,
 )
-from .gpusim import DeviceSpec, TABLE1_DEVICES, get_device, GPUSimulator, TimingModel, TimingReport
+from .gpusim import DeviceSpec, TABLE1_DEVICES, get_device, TimingModel, TimingReport
 from .homotopy import (
     NewtonOptions,
     PathScheduler,
@@ -152,7 +154,6 @@ __all__ = [
     "DeviceSpec",
     "TABLE1_DEVICES",
     "get_device",
-    "GPUSimulator",
     "TimingModel",
     "TimingReport",
     "NewtonOptions",

@@ -11,8 +11,7 @@ reduced to this multilinear form by the common-factor trick).
 
 The class is purely structural: evaluation lives in
 :mod:`repro.circuits.reference` (sequential oracle) and in
-:mod:`repro.core.evaluator` (the staged, data-parallel algorithm of the
-paper).
+:mod:`repro.core.system` (the staged, data-parallel algorithm of the paper).
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ power-series arithmetic, one monomial after the other, with the gradient
 computed directly from the product rule.  With exact
 :class:`fractions.Fraction` coefficients it doubles as a bit-exact oracle.
 
-The result container :class:`EvaluationResult` is shared with the staged and
-GPU-simulated evaluators of :mod:`repro.core.evaluator`, so comparing modes
-is a one-liner (see :meth:`EvaluationResult.max_difference`).
+The result container :class:`EvaluationResult` is shared with the ``staged``
+and ``vectorized`` modes of :class:`repro.core.SystemEvaluator`, so comparing
+modes is a one-liner (see :meth:`EvaluationResult.max_difference`).
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ from .layout import DataLayout
 from .staging import ConvolutionStage, MonomialProducts, stage_convolutions
 from .addition_tree import AdditionStage, stage_additions
 from .schedule import JobSchedule, build_schedule, schedule_for_polynomial
-from .evaluator import PolynomialEvaluator, prepare_slots, collect_result
 from .system import (
     FusedSystemSchedule,
+    PolynomialEvaluator,
     ScheduleCache,
     SystemEvaluator,
     default_schedule_cache,
@@ -42,8 +42,6 @@ __all__ = [
     "build_schedule",
     "schedule_for_polynomial",
     "PolynomialEvaluator",
-    "prepare_slots",
-    "collect_result",
     "FusedSystemSchedule",
     "ScheduleCache",
     "SystemEvaluator",

@@ -23,13 +23,9 @@ device it would be a full host-to-device transfer per step.
   nothing is repacked.
 
 Every execution mode exposes the same interface, so Newton and the path
-tracker are mode-agnostic: ``staged``/``parallel``/``gpu``/``reference``
-contexts (and vectorized contexts over rings the tensor backend cannot
-carry, i.e. exact fractions) delegate each run to the evaluator's per-call
-path.  A ``gpu`` context additionally annotates each run with the resident
-transfer cost predicted by :meth:`repro.gpusim.TimingModel.transfer_ms` —
-the first run ships the whole input region, subsequent runs only the
-variable slots.
+tracker are mode-agnostic: ``staged``/``reference`` contexts (and vectorized
+contexts over rings the tensor backend cannot carry, i.e. exact fractions)
+delegate each run to the evaluator's per-call path.
 
 A context run is bit-identical to the corresponding per-call
 ``evaluate_batch``: the product region is re-zeroed before every sweep, so
@@ -531,9 +527,7 @@ class EvalContext:
             try:
                 from ..gpusim.timing import TimingModel
 
-                self._timing_model = TimingModel(
-                    device=self._evaluator.device, precision=self._ring[1]
-                )
+                self._timing_model = TimingModel(precision=self._ring[1])
             except Exception:
                 self._timing_model = False
         return self._timing_model or None
@@ -689,8 +683,6 @@ class EvalContext:
                 for b, row in zip(members, rows):
                     results[b] = row
         self._runs += 1
-        if self._delegate_to == "gpu":
-            self._annotate_gpu_residency(results)
         if values_only:
             results = [
                 None
@@ -702,35 +694,6 @@ class EvalContext:
                 for row in results
             ]
         return results
-
-    def _annotate_gpu_residency(self, results) -> None:
-        """Attach the resident H2D transfer cost of this run to the metadata.
-
-        Run 1 ships every input slot of every instance; later runs re-send
-        only the variable slots (the series that changed), which is the
-        device-residency saving :meth:`repro.gpusim.TimingModel.predict_resident`
-        models for whole schedules.
-        """
-        from ..gpusim.timing import TimingModel
-
-        rows = [row for row in results if row is not None]
-        if not rows:
-            return
-        fused = self._evaluator.fused
-        limbs = rows[0][0].metadata.get("precision_limbs", 2)
-        model = TimingModel(device=self._evaluator.device, precision=limbs)
-        evaluated = len(rows)
-        input_series = fused.input_slot_count * evaluated
-        update_series = fused.variable_slot_count * evaluated
-        n_series = input_series if self._runs == 1 else update_series
-        transfer_ms = model.transfer_ms(n_series, fused.degree)
-        for row in rows:
-            for result in row:
-                result.metadata["resident_transfer"] = {
-                    "run": self._runs,
-                    "series": n_series,
-                    "h2d_ms": transfer_ms,
-                }
 
     # ------------------------------------------------------------------ #
     # rebinding (path tracking: next local system, same structure)

@@ -102,9 +102,8 @@ class AdditionJob:
 def apply_convolution(slots, base: int, job: "ConvolutionJob") -> None:
     """Run one convolution job on a host-side slot array (shifted by ``base``).
 
-    The single definition of what a job *does* to the slot array, shared by
-    the sequential staged evaluators, the thread-pool executor and the
-    batched system sweep, so the semantics cannot drift between modes.
+    The single definition of what a job *does* to the host-side slot array
+    (the ``staged`` sweep of :class:`repro.core.SystemEvaluator`).
     """
     slots[base + job.output] = slots[base + job.input1].convolve(slots[base + job.input2])
 

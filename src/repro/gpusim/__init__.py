@@ -1,4 +1,10 @@
-"""Simulated GPU substrate: devices, kernels, memory model, timing model."""
+"""Modelled GPU substrate: devices, memory model, operation counts, timing model.
+
+Nothing here executes the evaluation: the paper's tables are priced by
+:class:`TimingModel` from a staged schedule (``TimingModel(device,
+precision).predict(schedule, batch)``), while the numbers themselves come
+from the host evaluators of :mod:`repro.core`.
+"""
 
 from .device import DeviceSpec, TABLE1_DEVICES, get_device, DEFAULT_DEVICE
 from .memory import shared_memory_needed, max_degree_for_precision, check_block_fits
@@ -17,14 +23,6 @@ from .calibration import (
     calibration_degree,
 )
 from .timing import TimingModel, predict_schedule
-from .kernels import (
-    DeviceData,
-    convolution_block,
-    convolution_block_threaded,
-    addition_block,
-    scale_block,
-)
-from .executor import GPUSimulator, SimulationOutcome
 
 __all__ = [
     "DeviceSpec",
@@ -47,11 +45,4 @@ __all__ = [
     "calibration_degree",
     "TimingModel",
     "predict_schedule",
-    "DeviceData",
-    "convolution_block",
-    "convolution_block_threaded",
-    "addition_block",
-    "scale_block",
-    "GPUSimulator",
-    "SimulationOutcome",
 ]

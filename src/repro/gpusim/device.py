@@ -2,8 +2,8 @@
 
 The experiments ran on five NVIDIA GPUs; this module records their published
 characteristics plus the memory figures the timing model needs.  A
-:class:`DeviceSpec` is a plain description — the functional simulator and the
-timing model consume it, nothing here talks to real hardware.
+:class:`DeviceSpec` is a plain description — the timing model and the
+shared-memory capacity check consume it, nothing here talks to real hardware.
 """
 
 from __future__ import annotations

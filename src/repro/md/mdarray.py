@@ -9,8 +9,7 @@ sequence of vectorised, branch-free error-free transformations applied to
 whole limb rows at once.
 
 This is the type the vectorised power-series kernels
-(:mod:`repro.series.vectorseries`) and the functional GPU simulator
-(:mod:`repro.gpusim.kernels`) operate on.
+(:mod:`repro.series.vectorseries`) operate on.
 """
 
 from __future__ import annotations

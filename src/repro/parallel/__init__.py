@@ -1,12 +1,10 @@
-"""Host-side parallel execution: threaded job layers and process-sharded fleets."""
+"""Host-side parallel execution: process-sharded path fleets."""
 
 from .partition import chunk_evenly
-from .pool import LayerParallelExecutor
 from .shard import ShardedFleetRunner, ShardPlan, partition_paths
 
 __all__ = [
     "chunk_evenly",
-    "LayerParallelExecutor",
     "ShardPlan",
     "ShardedFleetRunner",
     "partition_paths",

@@ -1,10 +1,8 @@
-"""Partitioning of job layers across host workers.
+"""Near-even partitioning of work items across host workers.
 
-One GPU block per job is the device-side mapping; on the host the analogous
-mapping assigns each worker thread a contiguous chunk of the jobs of the
-current layer.  Chunking keeps the scheduling overhead per layer at one task
-per worker instead of one task per job, which matters because a layer of the
-paper's polynomials can contain thousands of small jobs.
+The sharded fleet runner (:mod:`repro.parallel.shard`) splits a fleet of
+paths into contiguous, near-equal shards with :func:`chunk_evenly`, one
+shard per worker process.
 """
 
 from __future__ import annotations

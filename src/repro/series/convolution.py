@@ -10,8 +10,8 @@ Three formulations of the same product are provided:
   paper: zeros are inserted in front of the second operand so that every
   "thread" (output coefficient) executes exactly ``d + 1`` multiply-add
   steps on different data.  The function literally follows the six pseudo-code
-  statements of Section 2 and is the algorithm the functional GPU simulator
-  executes per block;
+  statements of Section 2, i.e. what one GPU thread block executes per
+  convolution job;
 * :func:`convolve_vectorized` — a NumPy/:class:`repro.md.MDArray`
   formulation that multiplies whole coefficient slices at once (the host-side
   hot path used by the micro-benchmarks).

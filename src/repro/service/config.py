@@ -36,7 +36,7 @@ __all__ = [
     "resolve_service_config",
 ]
 
-_MODES = ("vectorized", "staged", "parallel", "gpu", "reference")
+_MODES = ("vectorized", "staged", "reference")
 
 
 @dataclass(frozen=True)

@@ -386,7 +386,7 @@ class SolveEngine:
         try:
             from ..gpusim.timing import TimingModel
 
-            model = TimingModel(device=system.evaluator.device, precision=ring[1])
+            model = TimingModel(precision=ring[1])
             planes = 2 if ring[0] in ("complex", "cmd") else 1
             return model.predict_coalesce(
                 system.evaluator.fused,

@@ -45,6 +45,7 @@ from ..md.complexmd import ComplexMD
 from ..md.multidouble import MultiDouble
 from ..series.series import PowerSeries
 from .api import SolveRequest
+from .config import coerce_service_layer
 from .engine import SolveEngine
 
 __all__ = [
@@ -157,6 +158,10 @@ def decode_solve_request(body: dict, mode: str) -> SolveRequest:
     except TypeError as exc:
         raise ServiceError(f"bad Newton options: {exc}") from exc
     overrides = body.get("overrides")
+    try:
+        coerce_service_layer(overrides)
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"bad overrides: {exc}") from exc
     return SolveRequest(
         system=system, initial=initial, options=options, overrides=overrides
     )

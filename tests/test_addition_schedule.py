@@ -7,7 +7,7 @@ from fractions import Fraction
 from repro.circuits import Monomial, Polynomial
 from repro.core import build_schedule, schedule_for_polynomial
 from repro.core.addition_tree import stage_additions
-from repro.core.evaluator import PolynomialEvaluator
+from repro.core import PolynomialEvaluator
 from repro.core.layout import DataLayout
 from repro.core.staging import stage_convolutions
 from repro.series import PowerSeries, random_fraction_series

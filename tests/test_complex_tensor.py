@@ -436,15 +436,15 @@ class TestEvalContext:
                 assert a.value.max_abs_error(b.value) == 0.0
 
     def test_context_interface_is_mode_agnostic(self, rng):
-        """staged/parallel/reference contexts expose the same interface and
-        produce the same results as their per-call paths."""
+        """staged/reference contexts expose the same interface and produce
+        the same results as their per-call paths."""
         polynomials = _mini_system("p1", 2, 2, rng)
         zs = [
             random_series_vector(polynomials[0].dimension, 2, "complex_md", 2, rng)
             for _ in range(2)
         ]
         cache = ScheduleCache()
-        for mode in ("staged", "parallel", "reference"):
+        for mode in ("staged", "reference"):
             evaluator = SystemEvaluator(polynomials, mode=mode, cache=cache)
             context = evaluator.make_context(2)
             context.update_inputs(zs)
@@ -806,22 +806,6 @@ class TestResidentTiming:
         assert single["transfer_saved_ms"] == pytest.approx(0.0)
         with pytest.raises(ValueError):
             model.predict_resident(evaluator.fused, steps=0)
-
-    def test_gpu_context_annotates_resident_transfers(self, rng):
-        polynomials = [
-            random_polynomial(3, 3, 2, degree=2, kind="md", precision=2, rng=rng)
-            for _ in range(3)
-        ]
-        evaluator = SystemEvaluator(polynomials, mode="gpu", cache=ScheduleCache())
-        zs = [random_series_vector(3, 2, "md", 2, rng) for _ in range(2)]
-        context = evaluator.make_context(2)
-        context.update_inputs(zs)
-        first = context.run()[0][0].metadata["resident_transfer"]
-        context.update_inputs(zs)
-        second = context.run()[0][0].metadata["resident_transfer"]
-        assert first["run"] == 1 and second["run"] == 2
-        assert second["series"] < first["series"]
-        assert second["h2d_ms"] < first["h2d_ms"]
 
     def test_predict_masked_prices_the_shrinking_fleet(self, rng):
         """Masked sweeps must cost less than full-batch sweeps, monotonically."""

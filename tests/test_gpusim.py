@@ -1,28 +1,19 @@
-"""Tests for the simulated GPU substrate: devices, memory, kernels, executor."""
+"""Tests for the modelled GPU substrate: devices, memory model, schedule pricing."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 
 from repro.core import build_schedule
 from repro.errors import DeviceCapacityError
 from repro.gpusim import (
-    DeviceData,
-    GPUSimulator,
     TABLE1_DEVICES,
-    addition_block,
+    TimingModel,
     check_block_fits,
-    convolution_block,
-    convolution_block_threaded,
     get_device,
     max_degree_for_precision,
-    scale_block,
     shared_memory_needed,
 )
-from repro.md import MultiDouble
-from repro.series import PowerSeries, convolve_direct, random_md_series
 
 
 class TestDeviceRegistry:
@@ -83,105 +74,17 @@ class TestSharedMemoryModel:
             check_block_fits(192, 8)
 
 
-class TestKernels:
-    def test_device_data_roundtrip(self, rng):
-        data = DeviceData(limbs=3, total_slots=4, degree=2)
-        series = random_md_series(2, 3, rng)
-        data.load_series(1, series.coefficients)
-        back = data.read_series(1)
-        assert all((a - b).to_float() == 0.0 for a, b in zip(series.coefficients, back))
-
-    def test_convolution_block_matches_host(self, rng):
-        degree, limbs = 4, 2
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        data = DeviceData(limbs, total_slots=3, degree=degree)
-        data.load_series(0, x.coefficients)
-        data.load_series(1, y.coefficients)
-        convolution_block(data, 0, degree + 1, 2 * (degree + 1))
-        result = data.read_series(2)
-        expected = convolve_direct(x.coefficients, y.coefficients)
-        for got, exact in zip(result, expected):
-            assert abs((got - exact).to_fraction()) < Fraction(2) ** (-90)
-
-    def test_in_place_convolution(self, rng):
-        degree, limbs = 3, 2
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        data = DeviceData(limbs, total_slots=2, degree=degree)
-        data.load_series(0, x.coefficients)
-        data.load_series(1, y.coefficients)
-        convolution_block(data, 0, degree + 1, 0)  # x := x * y
-        expected = convolve_direct(x.coefficients, y.coefficients)
-        for got, exact in zip(data.read_series(0), expected):
-            assert abs((got - exact).to_fraction()) < Fraction(2) ** (-90)
-
-    def test_addition_and_scale_blocks(self, rng):
-        degree, limbs = 3, 2
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        data = DeviceData(limbs, total_slots=2, degree=degree)
-        data.load_series(0, x.coefficients)
-        data.load_series(1, y.coefficients)
-        addition_block(data, 0, degree + 1)
-        for got, a, b in zip(data.read_series(1), x.coefficients, y.coefficients):
-            assert abs((got - (a + b)).to_fraction()) < Fraction(2) ** (-95)
-        scale_block(data, 0, 3)
-        for got, a in zip(data.read_series(0), x.coefficients):
-            assert abs((got - a * 3).to_fraction()) < Fraction(2) ** (-95)
-
-    def test_threaded_kernel_matches_vectorised(self, rng):
-        degree, limbs = 5, 3
-        x = random_md_series(degree, limbs, rng)
-        y = random_md_series(degree, limbs, rng)
-        threaded = convolution_block_threaded(x.coefficients, y.coefficients, limbs)
-        expected = convolve_direct(x.coefficients, y.coefficients)
-        for got, exact in zip(threaded, expected):
-            assert abs((got - exact).to_fraction()) < Fraction(2) ** (-52 * limbs + 12)
-
-    def test_threaded_kernel_accepts_floats(self):
-        result = convolution_block_threaded([1.0, 2.0], [3.0, 4.0], 2)
-        assert [r.to_float() for r in result] == [3.0, 10.0]
-
-    def test_threaded_kernel_validates_lengths(self):
-        with pytest.raises(ValueError):
-            convolution_block_threaded([1.0, 2.0], [1.0], 2)
-
-
-class TestGPUSimulator:
-    def test_run_produces_timings_and_values(self, rng):
-        schedule = build_schedule(3, [(0, 1, 2), (0, 2)], degree=3)
-        # Build host slots: a0, a1, a2, z1..z3 then zero products.
-        slots = [PowerSeries.constant(MultiDouble.zero(2), 3) for _ in range(schedule.layout.total_slots)]
-        slots[0] = random_md_series(3, 2, rng)
-        slots[1] = random_md_series(3, 2, rng)
-        slots[2] = random_md_series(3, 2, rng)
-        for v in range(3):
-            slots[schedule.layout.variable_slot(v)] = random_md_series(3, 2, rng)
-        simulator = GPUSimulator("P100")
-        outcome = simulator.run(schedule, slots)
-        assert outcome.limbs == 2
-        assert outcome.timings.n_launches == schedule.total_launches
-        assert outcome.timings.wall_clock_ms > 0
-        # The value slot contains a1*z1*z2*z3 + a2*z1*z3 + a0.
-        expected = (
-            slots[1] * slots[schedule.layout.variable_slot(0)]
-            * slots[schedule.layout.variable_slot(1)]
-            * slots[schedule.layout.variable_slot(2)]
-            + slots[2] * slots[schedule.layout.variable_slot(0)] * slots[schedule.layout.variable_slot(2)]
-            + slots[0]
-        )
-        value = outcome.slots[schedule.value_slot]
-        assert value.max_abs_error(expected) < 1e-25
-
+class TestSchedulePricing:
     def test_predict_without_execution(self):
         schedule = build_schedule(4, [(0, 1, 2, 3)] * 5, degree=8)
-        report = GPUSimulator("V100").predict(schedule, precision=4)
+        report = TimingModel("V100", precision=4).predict(schedule)
         assert report.convolution_ms > 0
         assert report.wall_clock_ms > report.sum_ms
 
-    def test_shared_memory_violation_raises(self, rng):
-        schedule = build_schedule(2, [(0, 1)], degree=160)
-        slots = [PowerSeries.constant(MultiDouble.zero(10), 160) for _ in range(schedule.layout.total_slots)]
+    def test_shared_memory_violation_raises(self):
+        # Deca doubles fit up to degree 152 (Tables 5-7), so a degree-160
+        # schedule cannot be priced at that precision.
         with pytest.raises(DeviceCapacityError):
-            GPUSimulator("V100").run(schedule, slots)
+            TimingModel("V100", precision=10).predict(
+                build_schedule(2, [(0, 1)], degree=160)
+            )

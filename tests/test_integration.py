@@ -14,7 +14,7 @@ from repro import (
 from repro.analysis.experiments import launch_structure
 from repro.circuits.testpolys import make_polynomial_from_structure, p1_structure
 from repro.core import schedule_for_polynomial
-from repro.gpusim import GPUSimulator, tflops
+from repro.gpusim import TimingModel, tflops
 from repro.homotopy import NewtonOptions, PolynomialSystem, newton_power_series
 from repro.series import PowerSeries, random_md_series, random_fraction_series
 
@@ -36,7 +36,7 @@ class TestMiniP1EndToEnd:
     def test_all_modes_agree(self, mini_p1):
         polynomial, z = mini_p1
         reference = PolynomialEvaluator(polynomial, mode="reference").evaluate(z)
-        for mode in ("staged", "parallel", "gpu"):
+        for mode in ("staged", "vectorized"):
             result = PolynomialEvaluator(polynomial, mode=mode).evaluate(z)
             assert reference.max_difference(result) < 2.0 ** (-52 * 3 + 24)
 
@@ -48,13 +48,14 @@ class TestMiniP1EndToEnd:
         full = launch_structure("p1")
         assert full.convolution_jobs == 9 * 1820
 
-    def test_gpu_timing_metadata_consistent_with_model(self, mini_p1):
-        polynomial, z = mini_p1
-        evaluator = PolynomialEvaluator(polynomial, mode="gpu", device="P100")
-        result = evaluator.evaluate(z)
-        timings = result.metadata["timings"]
-        predicted = GPUSimulator("P100").predict(evaluator.schedule, precision=3)
-        assert timings.wall_clock_ms == pytest.approx(predicted.wall_clock_ms, rel=1e-9)
+    def test_one_equation_fused_schedule_prices_like_its_schedule(self, mini_p1):
+        polynomial, _ = mini_p1
+        evaluator = PolynomialEvaluator(polynomial, mode="vectorized")
+        model = TimingModel("P100", precision=3)
+        own = model.predict(evaluator.schedule)
+        fused = model.predict(evaluator.fused)
+        assert fused.n_launches == own.n_launches == evaluator.schedule.total_launches
+        assert fused.wall_clock_ms == pytest.approx(own.wall_clock_ms, rel=1e-9)
 
 
 class TestFullPipelineSmall:

@@ -117,8 +117,11 @@ class TestServiceConfig:
             ServiceConfig(window_ms=-1.0)
         with pytest.raises(ValueError):
             ServiceConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(mode="warp")
+        for mode in ("warp", "parallel", "gpu"):
+            with pytest.raises(ValueError):
+                ServiceConfig(mode=mode)
+        for mode in ("reference", "staged", "vectorized"):
+            assert ServiceConfig(mode=mode).mode == mode
         with pytest.raises(TypeError):
             resolve_service_config(environ={}, bogus=1)
 
@@ -685,6 +688,38 @@ class TestHttp:
         assert bad[0] == 400
         assert worse[0] == 400
         assert "error" in bad[1]
+
+    def test_invalid_overrides_get_400_not_a_dropped_connection(self):
+        """A well-formed request whose ``overrides`` fail validation is
+        answered with 400 and an error body; the server keeps serving."""
+
+        async def main():
+            server = ServiceServer(window_ms=1.0, max_batch=4, workers=1, port=0)
+            loop = asyncio.get_running_loop()
+            replies = []
+            async with server:
+                port = server.port
+                for overrides in ({"window_ms": -5}, {"mode": "gpu"}):
+                    body = dict(self._solve_body(), overrides=overrides)
+                    replies.append(
+                        await loop.run_in_executor(
+                            None, _post_json, port, "/v1/solve", body
+                        )
+                    )
+                replies.append(
+                    await loop.run_in_executor(
+                        None, _post_json, port, "/v1/solve", self._solve_body()
+                    )
+                )
+            return replies
+
+        negative_window, removed_mode, valid = run(main())
+        for status, body in (negative_window, removed_mode):
+            assert status == 400
+            assert "error" in body
+        assert "window_ms" in negative_window[1]["error"]
+        assert "mode" in removed_mode[1]["error"]
+        assert valid[0] == 200 and valid[1]["converged"]
 
     def test_solution_coefficients_roundtrip_bitwise(self):
         """Wire limbs == in-process limbs: encode/decode loses nothing."""
