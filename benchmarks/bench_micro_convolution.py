@@ -2,7 +2,9 @@
 
 Compares the three formulations of Section 2 on the host: the direct
 sequential formula, the zero-insertion data-parallel formulation (executed
-thread by thread) and the vectorised structure-of-arrays implementation.
+thread by thread) and the vectorised structure-of-arrays implementation
+(:func:`repro.core.tensor.convolve_rows` on one series pair, a
+``(limbs, 1, degree + 1)`` tensor).
 """
 
 from __future__ import annotations
@@ -12,13 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.md import MDArray
-from repro.series import (
-    convolve_direct,
-    convolve_vectorized,
-    convolve_zero_insertion,
-    random_md_series,
-)
+from repro.core.tensor import convolve_rows
+from repro.series import convolve_direct, convolve_zero_insertion, random_md_series
 
 DEGREE = 31
 
@@ -28,9 +25,10 @@ def operands():
     rng = random.Random(11)
     x = random_md_series(DEGREE, 2, rng)
     y = random_md_series(DEGREE, 2, rng)
-    nrng = np.random.default_rng(11)
-    xv = MDArray.random(DEGREE + 1, 2, nrng)
-    yv = MDArray.random(DEGREE + 1, 2, nrng)
+    xv, yv = (
+        np.array([[[c.limbs[i] for c in s.coefficients]] for i in range(2)])
+        for s in (x, y)
+    )
     return x, y, xv, yv
 
 
@@ -48,8 +46,8 @@ def test_convolution_zero_insertion_dd_d31(benchmark, operands):
 
 def test_convolution_vectorized_dd_d31(benchmark, operands):
     _, _, xv, yv = operands
-    result = benchmark(convolve_vectorized, xv, yv)
-    assert result.size == DEGREE + 1
+    result = benchmark(convolve_rows, xv, yv, 2)
+    assert result.shape == (2, 1, DEGREE + 1)
 
 
 @pytest.mark.parametrize("degree", (8, 31, 63))

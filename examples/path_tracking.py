@@ -24,9 +24,9 @@ from repro import parse_polynomial
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
     TrackOptions,
     newton_power_series,
+    track_paths,
 )
 from repro.series import PowerSeries
 
@@ -56,13 +56,12 @@ def main() -> None:
     exact = [1.0, 0.25, -0.03125, 0.0078125]
     print("  exact  ", " + ".join(f"{c:+.6f} t^{k}" for k, c in enumerate(exact)))
 
-    # 2. Full path tracking from t = 0 to t = 1, with every Newton sweep on
-    #    the tensorized NumPy backend (mode="vectorized").
-    tracker = TaylorPathTracker(
-        build_system,
-        options=TrackOptions().override(degree=DEGREE, step=0.2, mode="vectorized"),
+    # 2. Full path tracking from t = 0 to t = 1 on a fixed grid (no step
+    #    growth), with every Newton sweep on the tensorized NumPy backend.
+    options = TrackOptions().override(
+        degree=DEGREE, mode="vectorized", step={"initial": 0.2, "grow": 1.0}
     )
-    result = tracker.track([1.0, 1.0], 0.0, 1.0)
+    result = track_paths(build_system, [[1.0, 1.0]], options=options).results[0]
     print("\nTaylor path tracking, step 0.2 (vectorized backend)")
     print(f"  {'t':>5} {'x1':>12} {'exact sqrt(1 + t/2)':>22} {'residual':>12} {'Newton its':>11}")
     for point in result.points:

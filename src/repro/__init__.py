@@ -10,8 +10,8 @@ The package is organised in layers (see DESIGN.md for the full inventory):
 
 ``repro.md``
     Multiple-double arithmetic: error-free transformations, renormalisation,
-    scalar and structure-of-arrays types, the precision registry and the
-    double-operation cost model.
+    scalar types, the structure-of-arrays row kernels, the precision
+    registry and the double-operation cost model.
 ``repro.series``
     Truncated power series and the convolution algorithms of Section 2.
 ``repro.circuits``
@@ -32,7 +32,8 @@ The package is organised in layers (see DESIGN.md for the full inventory):
     Fleet telemetry: spans, counters/gauges, Chrome/Perfetto trace export
     and the measured-vs-predicted timing ledger (default-off).
 ``repro.homotopy``
-    The motivating application: power-series Newton and a small path tracker.
+    The motivating application: power-series Newton and the adaptive path
+    tracker.
 ``repro.service``
     The coalescing asynchronous solve service: micro-batched Newton/track
     requests merged into packed tensor batches on pooled resident contexts.
@@ -64,8 +65,8 @@ from .errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from .md import MultiDouble, MDArray, ComplexMD, ComplexMDArray, Precision, get_precision
-from .series import PowerSeries, MDSeries
+from .md import MultiDouble, ComplexMD, Precision, get_precision
+from .series import PowerSeries
 from .circuits import (
     Monomial,
     Polynomial,
@@ -126,13 +127,10 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadedError",
     "MultiDouble",
-    "MDArray",
     "ComplexMD",
-    "ComplexMDArray",
     "Precision",
     "get_precision",
     "PowerSeries",
-    "MDSeries",
     "Monomial",
     "Polynomial",
     "EvaluationResult",

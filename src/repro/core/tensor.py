@@ -20,18 +20,18 @@ launch per layer" with the paper's structure-of-arrays data layout:
   interpreted per job at execution time;
 * :meth:`TensorProgram.run` executes each fused layer as a handful of
   whole-layer NumPy calls: a batched truncated convolution
-  (:func:`convolve_rows`, the many-triples generalisation of
-  :func:`repro.series.convolve_vectorized`), one vectorised scale pass, and
+  (:func:`convolve_rows`, equal to :func:`repro.series.convolve_direct`
+  limb for limb), one vectorised scale pass, and
   one renormalised addition per tree level — all built on
   :func:`repro.md.veft.vec_two_prod` / :func:`repro.md.vrenorm.vec_renormalize`
   through :mod:`repro.md.vecops`.
 
-The backend is registered as the fifth execution mode (``"vectorized"``) of
+The backend is the ``"vectorized"`` execution mode of
 :class:`repro.core.SystemEvaluator`.  It covers every ring the vectorised
 multiple-double stack supports — plain doubles, :class:`MultiDouble` of any
 limb count, Python complexes and :class:`repro.md.ComplexMD`.  Complex data
 lives in a :class:`ComplexSlotTensor` holding *paired* real and imaginary
-limb planes (the split layout of :class:`repro.md.ComplexMDArray`), and the
+limb planes (the paper's split complex layout), and the
 complex layer sweeps decompose into real sweeps through
 :mod:`repro.md.cvecops` in the exact operation order of the scalar
 :class:`repro.md.ComplexMD` — so the PHCpack-style unit-circle workloads of
@@ -475,7 +475,6 @@ class ComplexSlotTensor:
 
     The complex analogue of :class:`SlotTensor`: real and imaginary parts
     live in two separate ``(limbs, rows, degree+1)`` limb tensors — the
-    split storage of :class:`repro.md.ComplexMDArray`, which is also the
     paper's coalesced complex memory layout — with the same row convention
     (row ``b * total_slots + s`` is slot ``s`` of instance ``b``).
 
@@ -734,13 +733,13 @@ def convolve_rows(x: np.ndarray, y: np.ndarray, limbs: int) -> np.ndarray:
     and batch instances.  The result has the same shape and holds the
     truncated products.
 
-    This is :func:`repro.series.convolve_vectorized` generalised from one
-    triple to a whole layer: pass ``j`` multiplies column ``j`` of every
-    ``x`` row into the leading ``n - j`` columns of the matching ``y`` row
-    and accumulates into the output tail — ``n`` whole-layer multiple-double
-    multiply/add sweeps regardless of how many jobs the layer carries.  The
-    per-coefficient accumulation order (increasing ``j``) matches
-    :func:`repro.series.convolve_direct`.
+    Pass ``j`` multiplies column ``j`` of every ``x`` row into the leading
+    ``n - j`` columns of the matching ``y`` row and accumulates into the
+    output tail — ``n`` whole-layer multiple-double multiply/add sweeps
+    regardless of how many jobs the layer carries.  The per-coefficient
+    accumulation order (increasing ``j``) is that of
+    :func:`repro.series.convolve_direct`, so each row equals it limb for
+    limb on :class:`repro.md.MultiDouble` coefficients.
     """
     if x.shape != y.shape:
         raise ValueError(f"operand tensors must share shape, got {x.shape} and {y.shape}")

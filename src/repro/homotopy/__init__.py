@@ -17,8 +17,15 @@ from .options import (
     TrackOptions,
 )
 from .newton import NewtonStep, NewtonResult, newton_power_series, newton_power_series_batch
-from .pathtrack import PathPoint, PathTrackResult, TaylorPathTracker, align_path_points
-from .scheduler import PathScheduler, PathStatus, TrackManyReport, track_paths
+from .scheduler import (
+    PathPoint,
+    PathScheduler,
+    PathStatus,
+    PathTrackResult,
+    TrackManyReport,
+    align_path_points,
+    track_paths,
+)
 
 __all__ = [
     "PolynomialSystem",
@@ -42,7 +49,6 @@ __all__ = [
     "newton_power_series_batch",
     "PathPoint",
     "PathTrackResult",
-    "TaylorPathTracker",
     "align_path_points",
     "PathScheduler",
     "PathStatus",

@@ -73,8 +73,8 @@ def _ensure_context(system: PolynomialSystem, batch: int, context):
     tensor is sized for its batch), and one built from a structurally
     different system cannot be rebound (homotopy builders may legitimately
     change the monomial structure along the path) — both get a fresh
-    context.  A context from a structurally identical system (a path
-    tracker's previous step) is rebound in place, which keeps its resident
+    context.  A context from a structurally identical system (a caller
+    stepping along a path) is rebound in place, which keeps its resident
     tensor.
     """
     if (
@@ -114,9 +114,10 @@ def newton_power_series(
         :func:`lu_solve`.
     context:
         An optional resident :class:`repro.core.EvalContext` (batch 1) to
-        evaluate through — the path tracker passes one so consecutive steps
-        share a single packed tensor.  Without one, a context is created
-        for this refinement, so the whole iteration still packs only once.
+        evaluate through — a caller stepping along a path passes one so
+        consecutive steps share a single packed tensor.  Without one, a
+        context is created for this refinement, so the whole iteration still
+        packs only once.
     """
     options = replace(options or NewtonOptions(), mode=None, solver="scalar")
     return newton_power_series_batch(

@@ -1,11 +1,9 @@
 """Layered configuration objects for Newton refinement and path tracking.
 
-Every knob of the homotopy layer used to travel as its own keyword argument —
-``max_iterations`` and ``tolerance`` on the Newton drivers, ``solver`` on the
-batched driver, ``mode``/``step``/``newton_iterations`` on the tracker — and
-each new capability (adaptive steps, precision escalation, masked residency)
-would have kept sprouting more.  This module collects them into three small
-frozen dataclasses plus one umbrella:
+Every knob of the homotopy layer lives in one of these small frozen
+dataclasses, so adding a capability (adaptive steps, precision escalation,
+masked residency, sharding) adds a field, not a keyword argument on every
+entry point:
 
 * :class:`NewtonOptions` — the refinement loop (iterations, tolerance,
   linear-solver path, execution-mode override);
@@ -14,17 +12,16 @@ frozen dataclasses plus one umbrella:
   convergence-rate threshold that triggers growth);
 * :class:`RetryPolicy` — what happens when a path fails (precision-escalation
   ladder, rejection budget, divergence ceiling, path-crossing detection);
+* :class:`ShardOptions` — process sharding of the many-path front door;
 * :class:`TrackOptions` — the single object the public tracking API takes,
-  composing the three above with the tracker-level knobs (series degree,
-  execution mode, scheduler flavour).
+  composing the four above with the tracker-level knobs (series degree,
+  execution mode, telemetry).
 
 The layering is *defaults → options object → per-call overrides*: every class
 is immutable, :meth:`TrackOptions.override` produces a derived copy from flat
 keyword overrides (nested fields are addressable either with an options
-sub-object, a dict merged into the current sub-object, or one of the legacy
-flat aliases like ``step=0.25`` / ``newton_iterations=6``), and the deprecated
-keyword signatures of :class:`repro.homotopy.TaylorPathTracker` and the Newton
-drivers are thin shims that build these objects.
+sub-object, a dict merged into the current sub-object, or one of the flat
+aliases like ``step=0.25`` / ``newton_iterations=6``).
 """
 
 from __future__ import annotations
@@ -47,17 +44,15 @@ __all__ = [
 ]
 
 _SOLVERS = ("auto", "batched", "scalar")
-_SCHEDULERS = ("adaptive", "lockstep")
 
 
 @dataclass(frozen=True)
 class NewtonOptions:
     """Configuration of one power-series Newton refinement.
 
-    Parameters mirror the historical keywords of
-    :func:`repro.homotopy.newton_power_series` /
-    :func:`repro.homotopy.newton_power_series_batch` exactly, so a shim can
-    translate old calls bit-for-bit.
+    Every refinement in the package — :func:`repro.homotopy.newton_power_series`,
+    :func:`repro.homotopy.newton_power_series_batch`, the path scheduler and
+    the solve service — reads its loop bounds from one of these.
     """
 
     max_iterations: int = 8
@@ -89,8 +84,10 @@ class StepControl:
     the step, shrinks it by ``shrink`` and re-predicts from the last accepted
     point; a step that would fall below ``min`` declares the path failed
     (and hands it to the :class:`RetryPolicy`).  ``grow = 1.0`` disables
-    growth, which makes healthy paths reproduce the fixed-step lockstep grid
-    bit for bit — the parity the test suite asserts.
+    growth, which makes healthy paths walk the fixed grid ``t_start, t_start
+    + initial, ...`` — the test suite asserts that such a track equals a
+    fixed-grid reference built from one Newton call per grid point, bit for
+    bit.
     """
 
     initial: float = 0.1
@@ -260,11 +257,10 @@ class TrackOptions:
             precision_ladder=(4, 8),
         )
 
-    ``scheduler`` selects the tracking engine: ``"adaptive"`` (the masked
-    many-path scheduler of :mod:`repro.homotopy.scheduler` — per-path steps,
-    divergence detection, precision escalation) or ``"lockstep"`` (the fixed
-    shared grid of :meth:`repro.homotopy.TaylorPathTracker.track_many`, no
-    retries).
+    A fixed shared grid with no retries is the preset
+    ``step={"grow": 1.0}, retry={"max_rejections": 0, "precision_ladder": ()}``:
+    every path then steps by ``step.initial`` and fails at its first missed
+    refinement.
 
     ``telemetry`` is a per-call override layered onto the process-wide
     :mod:`repro.obs` configuration for the duration of the call: ``None``
@@ -277,7 +273,6 @@ class TrackOptions:
 
     degree: int = 8
     mode: str | None = None
-    scheduler: str = "adaptive"
     newton: NewtonOptions = field(
         default_factory=lambda: NewtonOptions(max_iterations=6, tolerance=1.0e-10)
     )
@@ -289,10 +284,6 @@ class TrackOptions:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("the tracker needs degree >= 1 to advance")
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be 'adaptive' or 'lockstep', got {self.scheduler!r}"
-            )
         # Normalise mappings (and validate everything else) into the frozen,
         # picklable ObsConfig shape, so options objects stay hashable-ish and
         # spawn workers receive the exact same layer.
@@ -308,7 +299,7 @@ class TrackOptions:
         * a nested options object (``newton=NewtonOptions(...)``) replacing
           the whole sub-object, or a mapping (``step={"initial": 0.25}``)
           merged into the current one;
-        * a flat legacy alias (``step=0.25``, ``newton_iterations=6``,
+        * a flat alias (``step=0.25``, ``newton_iterations=6``,
           ``max_newton_iter=6``, ``tolerance=1e-12``, ``solver="batched"``,
           ``precision_ladder=(4,)``) mapped onto its nested field.
         """

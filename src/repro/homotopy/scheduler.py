@@ -1,17 +1,22 @@
-"""The adaptive masked many-path scheduler with precision-escalation retries.
+"""Path tracking: the adaptive masked many-path scheduler with retries.
 
-:meth:`repro.homotopy.TaylorPathTracker.track_many` steps every path across
-one fixed parameter grid in lockstep: a single hard path shrinks the batch
-(one repack per dropout) or fails outright, and there is no way back once a
-refinement misses the tolerance.  The production workload of the paper —
-thousands to millions of independent solution paths — needs the opposite
-shape, and this module provides it:
+Numerical continuation follows a solution path ``x(t)`` of a family of
+polynomial systems ``H(x, t) = 0`` from ``t = 0`` towards ``t = 1``.  The
+power-series approach of the paper's motivating reference expands ``x`` as a
+truncated series around the current parameter value, refines the expansion
+with Newton's method on power series, advances the parameter by a step ``h``
+by evaluating the series, and repeats.  The production workload of the
+paper — thousands to millions of independent solution paths — runs that
+loop for a whole fleet at once, and this module is the package's one
+tracker:
 
 * **per-path adaptive steps** — every path carries its own step size ``h``,
   grown when Newton converges fast (few iterations) and shrunk when a trial
   point is rejected, under the :class:`repro.homotopy.options.StepControl`
-  policy.  ``grow = 1.0`` disables growth and makes healthy paths reproduce
-  the lockstep grid bit for bit;
+  policy.  ``grow = 1.0`` disables growth and makes healthy paths walk one
+  fixed grid; adding ``max_rejections=0`` and an empty precision ladder
+  gives a plain fixed-grid tracker that fails a path at its first missed
+  refinement;
 * **masked residency** — the whole fleet stays packed in one resident
   :class:`repro.core.EvalContext` for the entire track.  Paths that converge,
   fail, or merely sit out a Newton iteration are masked out of the sweeps
@@ -28,7 +33,9 @@ shape, and this module provides it:
   local system.  :meth:`repro.core.EvalContext.rebind_fleet` rewrites each
   instance's constant/coefficient rows in place (grouped by shared system, so
   synchronized paths cost one write per series), keeping the tensor and the
-  compiled program resident;
+  compiled program resident.  A family whose monomial structure changes
+  along the path gets one resident context per structure, created when the
+  first path reaches it;
 * **divergence, singularity and path-crossing detection** — residuals or
   solution values beyond :attr:`RetryPolicy.divergence_threshold` fail a path
   immediately, singular Newton systems drop only the offending instances from
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from time import perf_counter_ns as _perf_counter_ns
 from typing import Callable, Sequence
 
@@ -66,14 +74,95 @@ from ..series.series import PowerSeries
 from .batch_linsolve import solve_packed  # noqa: F401
 from .newton import _refine
 from .options import TrackOptions
-from .pathtrack import PathPoint, PathTrackResult, _advance, _promote_step
 from .systems import PolynomialSystem, lift_value
 
-__all__ = ["PathStatus", "TrackManyReport", "PathScheduler", "track_paths"]
+__all__ = [
+    "PathPoint",
+    "PathTrackResult",
+    "PathStatus",
+    "TrackManyReport",
+    "PathScheduler",
+    "align_path_points",
+    "track_paths",
+]
 
 #: Process-wide telemetry registry; ``enabled`` is a plain attribute so the
 #: disabled hot path costs exactly one attribute check per call site.
 _TELEMETRY = get_telemetry()
+
+#: Relative slack within which an accumulated parameter value is considered
+#: to have reached the end of the track.  Repeated ``t += h`` accumulation
+#: drifts by a few ulps per step; without the snap, a track like step 0.1
+#: over [0, 1] can stop just short of ``t_end`` and emit a spurious
+#: micro-step at an off-grid parameter value.
+_SNAP_EPSILON = 1.0e-12
+
+
+@dataclass(frozen=True)
+class PathPoint:
+    """One accepted point of the tracked path."""
+
+    t: float
+    values: tuple
+    residual: float
+    newton_iterations: int
+
+
+@dataclass
+class PathTrackResult:
+    """The accepted points and the final status of one tracked path."""
+
+    points: list[PathPoint] = field(default_factory=list)
+    success: bool = False
+
+    @property
+    def final_values(self):
+        return self.points[-1].values if self.points else ()
+
+
+def align_path_points(
+    results: Sequence[PathTrackResult], fill=None
+) -> list[list[PathPoint | None]]:
+    """Align per-path :class:`PathPoint` histories into one rectangular table.
+
+    ``results`` is the input-ordered list of a :class:`TrackManyReport`.
+    Paths finish at different step counts — failed paths stop early,
+    adaptive paths reject and re-step — so the histories are ragged; this
+    pads every column to the longest history with ``fill``.  Row ``k`` of the
+    returned table holds the ``k``-th accepted point of every path (still in
+    input order), the shape plotting and tail-latency analyses want.
+    """
+    longest = max((len(result.points) for result in results), default=0)
+    return [
+        [
+            result.points[k] if k < len(result.points) else fill
+            for result in results
+        ]
+        for k in range(longest)
+    ]
+
+
+def _advance(t: float, h: float, t_end: float) -> float:
+    """Advance the parameter by ``h``, snapping onto ``t_end`` when reached."""
+    t = t + h
+    if abs(t_end - t) <= _SNAP_EPSILON * max(1.0, abs(t_end)):
+        return t_end
+    return t
+
+
+def _promote_step(series: PowerSeries, h: float):
+    """Promote the step size into the coefficient ring of ``series``.
+
+    The promotion goes through the ring's own conversion so exact rings stay
+    exact: ``zero + h`` for a :class:`~fractions.Fraction` coefficient would
+    demote the whole evaluation to float, so ``h`` is lifted to an (exact)
+    ``Fraction`` first.  Floating-point rings (float, complex, multidouble)
+    absorb the plain double unchanged.
+    """
+    zero = series.coefficients[0] * 0
+    if isinstance(zero, Fraction):
+        return zero + Fraction(h)
+    return zero + h
 
 
 @dataclass(frozen=True)
@@ -257,14 +346,13 @@ class PathScheduler:
     ----------
     system_builder:
         Callable ``(t0, degree) -> PolynomialSystem`` returning the local
-        system whose series variable is the offset ``s = t - t0`` — the same
-        contract as :class:`repro.homotopy.TaylorPathTracker`.
+        system whose series variable is the offset ``s = t - t0``.
     options:
         A :class:`repro.homotopy.options.TrackOptions`; keyword overrides
         are layered on top via :meth:`TrackOptions.make`.
     """
 
-    #: Hard bound on scheduler rounds per fleet, mirroring the tracker's guard.
+    #: Hard bound on scheduler rounds per fleet.
     _ROUND_GUARD = 10_000
 
     def __init__(
@@ -406,7 +494,14 @@ class PathScheduler:
         report: TrackManyReport,
         buffer=None,
     ) -> None:
-        """Run one fleet of paths to completion against one resident context."""
+        """Run one fleet of paths to completion against resident contexts.
+
+        The fleet holds one context per monomial structure of the family —
+        exactly one unless the builder changes structure along the path —
+        each created when the first path reaches its structure and sized for
+        the whole fleet.  Only the first context homes its tensor in
+        ``buffer``.
+        """
         options = self.options
         degree = options.degree
         batch = len(states)
@@ -417,8 +512,9 @@ class PathScheduler:
         solutions: list[list[PowerSeries]] = [
             [PowerSeries.constant(v, degree) for v in state.values] for state in states
         ]
-        context = None
-        evaluators: list = [None] * batch
+        # Per structure key: the resident context and its per-lane evaluators.
+        contexts: dict = {}
+        evaluators: dict[tuple, list] = {}
         rounds = 0
         while True:
             r0 = tel.enabled and _perf_counter_ns()
@@ -432,24 +528,37 @@ class PathScheduler:
             # sync share the object, so the fleet rebind groups their row
             # writes and the schedule cache sees one structure throughout.
             local: dict[float, PolynomialSystem] = {}
+            groups: dict[tuple, list[int]] = {}
             for p in running:
                 t = states[p].t_trial
                 if t not in local:
                     local[t] = builder(t, degree).with_mode(options.mode)
-            for p in running:
-                evaluators[p] = local[states[p].t_trial].evaluator
+                groups.setdefault(local[t].evaluator._structure_key, []).append(p)
                 solutions[p] = [
                     PowerSeries.constant(v, degree) for v in states[p].values
                 ]
-            if context is None:
-                context = local[states[running[0]].t_trial].make_context(
-                    batch, buffer=buffer
-                )
-            context.rebind_fleet(list(evaluators))
 
             # Each running path is one lane of the masked Newton kernel; a
             # singular lane fails only its own path.
-            results, singular = _refine(context, solutions, running, options.newton)
+            results: dict = {}
+            singular: set[int] = set()
+            for key, group in groups.items():
+                context = contexts.get(key)
+                if context is None:
+                    system = local[states[group[0]].t_trial]
+                    context = contexts[key] = system.make_context(
+                        batch, buffer=None if contexts else buffer
+                    )
+                    evaluators[key] = [system.evaluator] * batch
+                lanes = evaluators[key]
+                for p in group:
+                    lanes[p] = local[states[p].t_trial].evaluator
+                context.rebind_fleet(lanes)
+                group_results, group_singular = _refine(
+                    context, solutions, group, options.newton
+                )
+                results.update(group_results)
+                singular.update(group_singular)
             for p in running:
                 state = states[p]
                 result = results[p]
@@ -471,15 +580,17 @@ class PathScheduler:
                 )
         if options.retry.detect_crossings:
             self._flag_crossings(states)
-        report.cache = context.evaluator.cache.stats()
+        first = next(iter(contexts.values()))
+        packs = sum(context.packs for context in contexts.values())
+        report.cache = first.evaluator.cache.stats()
         report.fleets.append(
             {
                 "limbs": states[0].limbs,
                 "paths": batch,
-                "packs": context.packs,
+                "packs": packs,
                 "rounds": rounds,
-                "resident": context.resident,
-                "adopted": context.adopted,
+                "resident": all(context.resident for context in contexts.values()),
+                "adopted": first.adopted,
             }
         )
         if f0:
@@ -490,7 +601,7 @@ class PathScheduler:
                 limbs=states[0].limbs,
                 paths=batch,
                 rounds=rounds,
-                packs=context.packs,
+                packs=packs,
             )
 
     # ------------------------------------------------------------------ #
@@ -602,50 +713,22 @@ def track_paths(
             precision_ladder=(4, 8),
         )
 
-    With ``options.scheduler == "adaptive"`` (the default) the
-    :class:`PathScheduler` runs the masked resident fleet with per-path
-    steps and the precision-escalation retry ladder; ``"lockstep"`` runs the
-    plain fixed-grid :meth:`repro.homotopy.TaylorPathTracker.track_many`
-    (no retries) and wraps its results in the same report shape.
+    The :class:`PathScheduler` runs the masked resident fleet with per-path
+    steps and the precision-escalation retry ladder, in-process or — with
+    ``options.shard.workers`` set — across worker processes.
     """
     options = TrackOptions.make(options, **overrides)
     tel = _TELEMETRY
     with tel.overridden(options.telemetry):
-        report = _dispatch_track(system_family, starts, options, t_start, t_end)
+        workers = options.shard.resolve_workers()
+        if workers > 0 and len(starts) > 0:
+            from ..parallel.shard import ShardedFleetRunner
+
+            report = ShardedFleetRunner(system_family, options).track(
+                starts, t_start, t_end
+            )
+        else:
+            report = PathScheduler(system_family, options).track(starts, t_start, t_end)
         if tel.enabled and tel.config.sink:
             tel.write_sink()
         return report
-
-
-def _dispatch_track(
-    system_family, starts, options: TrackOptions, t_start: float, t_end: float
-) -> TrackManyReport:
-    """Route a resolved options object to its tracking engine."""
-    if options.scheduler == "lockstep":
-        from .pathtrack import TaylorPathTracker
-
-        tracker = TaylorPathTracker(system_family, options=options)
-        results = tracker.track_many(starts, t_start, t_end)
-        report = TrackManyReport(results=results)
-        for index, result in enumerate(results):
-            last = result.points[-1] if result.points else None
-            report.statuses.append(
-                PathStatus(
-                    index=index,
-                    converged=result.success,
-                    reason=None if result.success else "newton",
-                    steps=len(result.points),
-                    rejections=0,
-                    retries=0,
-                    limbs=None,
-                    residual=last.residual if last else math.inf,
-                )
-            )
-        return report
-    workers = options.shard.resolve_workers()
-    if workers > 0 and len(starts) > 0:
-        from ..parallel.shard import ShardedFleetRunner
-
-        runner = ShardedFleetRunner(system_family, options)
-        return runner.track(starts, t_start, t_end)
-    return PathScheduler(system_family, options).track(starts, t_start, t_end)

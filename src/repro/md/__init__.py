@@ -7,8 +7,9 @@ The subpackage provides:
 * expansion renormalisation, scalar (:mod:`repro.md.renorm`) and vectorised
   (:mod:`repro.md.vrenorm`);
 * the scalar :class:`MultiDouble` and complex :class:`ComplexMD` types;
-* the structure-of-arrays :class:`MDArray` / :class:`ComplexMDArray` types
-  matching the paper's GPU memory layout;
+* the structure-of-arrays row kernels (:mod:`repro.md.vecops`, complex
+  :mod:`repro.md.cvecops`) over one NumPy array per limb, the paper's GPU
+  memory layout;
 * the precision registry (:mod:`repro.md.precision`) and the
   double-operation cost model (:mod:`repro.md.opcounts`) used by the
   performance analysis of Section 6.2.
@@ -18,8 +19,7 @@ from .eft import two_sum, quick_two_sum, two_diff, two_prod, two_sqr, split, Ope
 from .renorm import renormalize, grow_expansion, expansion_from_terms
 from .precision import Precision, PRECISIONS, PAPER_PRECISIONS, get_precision, limbs_of
 from .multidouble import MultiDouble
-from .mdarray import MDArray
-from .complexmd import ComplexMD, ComplexMDArray
+from .complexmd import ComplexMD
 from .opcounts import OpCounts, PAPER_OPCOUNTS, modelled_opcounts, opcounts_for, measure_opcounts
 from .veft import vec_two_sum, vec_quick_two_sum, vec_two_prod, vec_split, vec_two_sqr
 from .vrenorm import vec_renormalize, vecsum_sweep
@@ -43,9 +43,7 @@ __all__ = [
     "get_precision",
     "limbs_of",
     "MultiDouble",
-    "MDArray",
     "ComplexMD",
-    "ComplexMDArray",
     "OpCounts",
     "PAPER_OPCOUNTS",
     "modelled_opcounts",

@@ -3,28 +3,23 @@
 Polynomial homotopy continuation works over the complex numbers, so the
 paper's kernels exist in complex variants that keep the real and imaginary
 parts in *separate* arrays (again to preserve coalesced memory access).  This
-module provides the host-side equivalents:
-
-* :class:`ComplexMD` — a scalar complex value whose real and imaginary parts
-  are :class:`repro.md.MultiDouble`;
-* :class:`ComplexMDArray` — an array of such values stored as two
-  :class:`repro.md.MDArray` objects (one for the real parts, one for the
-  imaginary parts).
+module provides the scalar :class:`ComplexMD`, whose real and imaginary parts
+are :class:`repro.md.MultiDouble`.  The split array layout lives in
+:mod:`repro.md.cvecops`: a complex operand there is a pair of limb-plane
+sequences, one for the real parts and one for the imaginary parts.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
-from .mdarray import MDArray
 from .multidouble import MultiDouble
 from .precision import get_precision
 
-__all__ = ["ComplexMD", "ComplexMDArray"]
+__all__ = ["ComplexMD"]
 
 
 def _component(value, prec, name: str) -> MultiDouble:
@@ -187,99 +182,3 @@ class ComplexMD:
     def __repr__(self):
         return f"ComplexMD({self.real.to_float()!r}, {self.imag.to_float()!r}, precision={self.precision.limbs})"
 
-
-class ComplexMDArray:
-    """An array of complex multiple doubles (separate real/imaginary storage)."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: MDArray, imag: MDArray):
-        if real.limbs != imag.limbs or real.size != imag.size:
-            raise ValueError("real and imaginary parts must have identical shape and precision")
-        self.real = real
-        self.imag = imag
-
-    @classmethod
-    def zeros(cls, size: int, precision=2) -> "ComplexMDArray":
-        return cls(MDArray.zeros(size, precision), MDArray.zeros(size, precision))
-
-    @classmethod
-    def from_complex_values(cls, values: Iterable[complex], precision=2) -> "ComplexMDArray":
-        values = list(values)
-        real = MDArray.from_doubles(np.array([v.real for v in values]), precision)
-        imag = MDArray.from_doubles(np.array([v.imag for v in values]), precision)
-        return cls(real, imag)
-
-    @classmethod
-    def from_scalars(cls, values: Iterable[ComplexMD], precision=None) -> "ComplexMDArray":
-        values = list(values)
-        real = MDArray.from_multidoubles([v.real for v in values], precision)
-        imag = MDArray.from_multidoubles([v.imag for v in values], precision)
-        return cls(real, imag)
-
-    @classmethod
-    def random_unit_circle(cls, size: int, precision=2, rng=None) -> "ComplexMDArray":
-        """Random points on the complex unit circle (PHCpack-style test data)."""
-        rng = np.random.default_rng() if rng is None else rng
-        angles = rng.uniform(0.0, 2.0 * math.pi, size)
-        real = MDArray.from_doubles(np.cos(angles), precision)
-        imag = MDArray.from_doubles(np.sin(angles), precision)
-        return cls(real, imag)
-
-    @property
-    def limbs(self) -> int:
-        return self.real.limbs
-
-    @property
-    def size(self) -> int:
-        return self.real.size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def copy(self) -> "ComplexMDArray":
-        return ComplexMDArray(self.real.copy(), self.imag.copy())
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return ComplexMD(self.real[index], self.imag[index])
-        return ComplexMDArray(self.real[index], self.imag[index])
-
-    def __setitem__(self, index, value):
-        if isinstance(value, ComplexMD):
-            self.real[index] = value.real
-            self.imag[index] = value.imag
-        elif isinstance(value, complex):
-            self.real[index] = float(value.real)
-            self.imag[index] = float(value.imag)
-        else:
-            self.real[index] = value
-            self.imag[index] = 0.0
-
-    def __add__(self, other: "ComplexMDArray") -> "ComplexMDArray":
-        return ComplexMDArray(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "ComplexMDArray") -> "ComplexMDArray":
-        return ComplexMDArray(self.real - other.real, self.imag - other.imag)
-
-    def __neg__(self) -> "ComplexMDArray":
-        return ComplexMDArray(-self.real, -self.imag)
-
-    def __mul__(self, other: "ComplexMDArray") -> "ComplexMDArray":
-        return ComplexMDArray(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    def to_complex(self) -> np.ndarray:
-        """Round every value to a Python complex (NumPy complex128 array)."""
-        return self.real.to_float() + 1j * self.imag.to_float()
-
-    def to_scalars(self) -> list[ComplexMD]:
-        return [ComplexMD(r, i) for r, i in zip(self.real.to_multidoubles(), self.imag.to_multidoubles())]
-
-    def allclose(self, other: "ComplexMDArray", tol: float | None = None) -> bool:
-        return self.real.allclose(other.real, tol) and self.imag.allclose(other.imag, tol)
-
-    def __repr__(self):
-        return f"ComplexMDArray(limbs={self.limbs}, size={self.size})"

@@ -1,20 +1,20 @@
 """Whole-array multiple-double arithmetic on limb-component lists.
 
-:class:`repro.md.MDArray` vectorises multiple-double arithmetic over one
-flat vector of values.  The tensorized execution backend
-(:mod:`repro.core.tensor`) needs the same operations over *arbitrarily
-shaped* limb components — e.g. a whole fused layer of series products at
-once, where one component row is a ``(jobs x batch, degree + 1)`` matrix.
+This is the package's one structure-of-arrays multiple-double stack: the
+tensorized execution backend (:mod:`repro.core.tensor`) runs every
+multiple-double operation of a sweep through it, over *arbitrarily shaped*
+limb components — e.g. a whole fused layer of series products at once,
+where one component row is a ``(jobs x batch, degree + 1)`` matrix.
 
-The functions here are that generalisation: each operand is a sequence of
-``k`` NumPy arrays (leading limb first) of a common, broadcast-compatible
-shape, and each result is a list of ``k`` arrays holding the renormalised
-multiple-double outcome.  They are built from the same branch-free
-error-free transformations (:mod:`repro.md.veft`) and VecSum distillation
-(:mod:`repro.md.vrenorm`) as :class:`MDArray`, so the numerics match the
-established vectorised stack; with ``limbs == 1`` they collapse to plain
-double arithmetic (the error terms of an EFT round away in one-limb
-renormalisation), which keeps the float ring on the fast path.
+Each operand is a sequence of ``k`` NumPy arrays (leading limb first) of a
+common, broadcast-compatible shape, and each result is a list of ``k``
+arrays holding the renormalised multiple-double outcome.  The functions are
+built from branch-free error-free transformations (:mod:`repro.md.veft`)
+and VecSum distillation (:mod:`repro.md.vrenorm`), and they equal the scalar
+:class:`repro.md.MultiDouble` operators limb for limb, which the test suite
+asserts; with ``limbs == 1`` they collapse to plain double arithmetic (the
+error terms of an EFT round away in one-limb renormalisation), which keeps
+the float ring on the fast path.
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ def md_mul_rows(
 
     Exact partial products are kept for the significant diagonals
     (``i + j < limbs`` via :func:`repro.md.veft.vec_two_prod`, the
-    ``i + j == limbs`` diagonal as a plain product), mirroring
-    :meth:`repro.md.MDArray.__mul__`; deeper diagonals fall below the ulp of
-    the last limb.
+    ``i + j == limbs`` diagonal as a plain product); deeper diagonals fall
+    below the ulp of the last limb.
     """
     if limbs == 1:
         return [np.asarray(a[0], dtype=np.float64) * b[0]]

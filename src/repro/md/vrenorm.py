@@ -3,7 +3,7 @@
 The scalar renormalisation in :mod:`repro.md.renorm` uses data-dependent
 control flow (dropping zero error terms, variable-length expansions), which
 is exactly what one cannot afford in SIMD/GPU code.  This module provides the
-data-parallel alternative used by :class:`repro.md.MDArray`:
+data-parallel alternative used by :mod:`repro.md.vecops`:
 
 ``vec_renormalize`` takes a list of ``m`` limb arrays whose elementwise sums
 are the exact values to be represented, applies a fixed number of *VecSum

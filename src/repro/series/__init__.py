@@ -1,9 +1,9 @@
 """Truncated power series arithmetic (the paper's data type).
 
 * :class:`PowerSeries` — generic truncated series over any coefficient ring;
-* :mod:`repro.series.convolution` — the sequential, zero-insertion and
-  vectorised convolution algorithms of Section 2;
-* :class:`MDSeries` — structure-of-arrays multiple-double series;
+* :mod:`repro.series.convolution` — the sequential and zero-insertion
+  convolution algorithms of Section 2 (the vectorised many-pair form is
+  :func:`repro.core.tensor.convolve_rows`);
 * :mod:`repro.series.random` — random test series (PHCpack style).
 """
 
@@ -12,11 +12,9 @@ from .convolution import (
     convolve_direct,
     convolve_zero_insertion,
     add_coefficients,
-    convolve_vectorized,
     convolution_operation_count,
     addition_operation_count,
 )
-from .vectorseries import MDSeries
 from .random import (
     random_float_series,
     random_complex_series,
@@ -31,10 +29,8 @@ __all__ = [
     "convolve_direct",
     "convolve_zero_insertion",
     "add_coefficients",
-    "convolve_vectorized",
     "convolution_operation_count",
     "addition_operation_count",
-    "MDSeries",
     "random_float_series",
     "random_complex_series",
     "random_md_series",

@@ -43,9 +43,10 @@ from repro.gpusim.timing import TimingModel
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
+    TrackOptions,
     newton_power_series,
     newton_power_series_batch,
+    track_paths,
 )
 from repro.md import ComplexMD, MultiDouble
 from repro.series import PowerSeries, random_series_vector
@@ -594,6 +595,15 @@ class TestResidentNewton:
         assert [s.residual for s in first.steps] == [s.residual for s in second.steps]
 
 
+#: Fixed step 0.25 on the vectorized backend, no growth and no retries.
+_GRID_OPTIONS = TrackOptions().override(
+    degree=4,
+    mode="vectorized",
+    step={"initial": 0.25, "grow": 1.0},
+    retry={"max_rejections": 0, "precision_ladder": ()},
+)
+
+
 class TestResidentTracking:
     def _builder(self, cache):
         from repro.circuits import Polynomial
@@ -612,28 +622,25 @@ class TestResidentTracking:
         per-step systems differ only in coefficients and are rebound."""
         counts = _count_packs(monkeypatch)
         cache = ScheduleCache()
-        tracker = TaylorPathTracker(
-            self._builder(cache), degree=4, step=0.25, mode="vectorized"
-        )
-        results = tracker.track_many([[0.0], [0.0]])
+        report = track_paths(self._builder(cache), [[0.0], [0.0]], options=_GRID_OPTIONS)
+        results = report.results
         assert all(r.success for r in results)
+        assert all(len(r.points) == 5 for r in results)  # t = 0, .25, ..., 1
         assert counts["packs"] == 1
         assert all(abs(r.final_values[0] - 1.0) < 1e-10 for r in results)
 
     def test_track_scalar_packs_once_across_steps(self, rng, monkeypatch):
         counts = _count_packs(monkeypatch)
         cache = ScheduleCache()
-        tracker = TaylorPathTracker(
-            self._builder(cache), degree=4, step=0.25, mode="vectorized"
-        )
-        result = tracker.track([0.0])
+        report = track_paths(self._builder(cache), [[0.0]], options=_GRID_OPTIONS)
+        result = report.results[0]
         assert result.success
         assert counts["packs"] == 1
         assert abs(result.final_values[0] - 1.0) < 1e-10
 
     def test_structure_varying_builder_gets_fresh_contexts(self, rng, monkeypatch):
         """A homotopy builder may change the monomial structure along the
-        path; the Newton drivers then build a fresh context per structure
+        path; the fleet then holds one resident context per structure
         instead of crashing on rebind."""
         from repro.circuits import Polynomial
 
@@ -658,11 +665,13 @@ class TestResidentTracking:
                 [Polynomial(1, constant, monomials)], mode="staged", cache=cache
             )
 
-        tracker = TaylorPathTracker(builder, degree=4, step=0.25, mode="vectorized")
-        result = tracker.track([0.0])
+        report = track_paths(builder, [[0.0]], options=_GRID_OPTIONS)
+        result = report.results[0]
         assert result.success
+        assert [point.t for point in result.points] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert abs(result.final_values[0] - 1.0) < 1e-10
         assert counts["packs"] == 2  # one per structure, not one per step
+        assert report.fleets[0]["packs"] == 2
 
     def test_rebind_rejects_different_structure(self, rng):
         a = SystemEvaluator(

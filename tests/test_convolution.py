@@ -1,19 +1,19 @@
-"""Tests for the three convolution formulations of Section 2."""
+"""Tests for the convolution formulations of Section 2 and their vectorised form."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from repro.md import MDArray, MultiDouble
+from conftest import limb_rows
+from repro.core.tensor import convolve_rows
 from repro.series import (
-    MDSeries,
     add_coefficients,
     addition_operation_count,
     convolution_operation_count,
     convolve_direct,
-    convolve_vectorized,
     convolve_zero_insertion,
     random_fraction_series,
     random_md_series,
@@ -62,53 +62,29 @@ class TestAddition:
 
 
 class TestVectorizedConvolution:
-    @pytest.mark.parametrize("limbs", (1, 2, 4))
-    def test_matches_scalar(self, limbs, nprng, rng):
-        degree = 9
-        x = MDArray.random(degree + 1, limbs, nprng)
-        y = MDArray.random(degree + 1, limbs, nprng)
-        vec = convolve_vectorized(x, y)
-        scalar = convolve_direct(x.to_multidoubles(), y.to_multidoubles())
-        for k in range(degree + 1):
-            diff = abs((vec[k] - scalar[k]).to_fraction())
-            assert diff < Fraction(2) ** (-52 * limbs + 10)
+    """:func:`repro.core.tensor.convolve_rows`, the host's vectorised form."""
 
-    def test_precision_mismatch_rejected(self, nprng):
+    @pytest.mark.parametrize("limbs", (1, 2, 4, 10))
+    def test_matches_scalar(self, limbs, md_rows):
+        """Every row equals ``convolve_direct`` on MultiDouble, limb for limb."""
+        pairs = 3
+        for degree in (0, 1, 5, 8):
+            n = degree + 1
+            x, xr = md_rows(pairs * n, limbs)
+            y, yr = md_rows(pairs * n, limbs)
+            out = convolve_rows(
+                xr.reshape(limbs, pairs, n), yr.reshape(limbs, pairs, n), limbs
+            )
+            for j in range(pairs):
+                row = slice(j * n, (j + 1) * n)
+                expected = convolve_direct(x[row], y[row])
+                assert np.array_equal(out[:, j, :], limb_rows(expected, limbs))
+
+    def test_precision_mismatch_rejected(self, md_rows):
+        _, xr = md_rows(3, 2)
+        _, yr = md_rows(3, 4)
         with pytest.raises(ValueError):
-            convolve_vectorized(MDArray.random(3, 2, nprng), MDArray.random(3, 4, nprng))
-
-    @pytest.mark.parametrize("sizes", ((3, 7), (7, 3), (1, 5), (6, 6)))
-    def test_mixed_degrees_match_zero_padded_direct(self, sizes, nprng):
-        """Operands of different truncation degrees: zero-extend the shorter.
-
-        The result is truncated at the larger degree and must match
-        ``convolve_direct`` on the explicitly zero-padded operands, which is
-        the semantics the docstring promises.
-        """
-        nx, ny = sizes
-        limbs = 2
-        x = MDArray.random(nx, limbs, nprng)
-        y = MDArray.random(ny, limbs, nprng)
-        vec = convolve_vectorized(x, y)
-        n = max(nx, ny)
-        assert vec.size == n
-
-        def padded(arr):
-            out = [MultiDouble.zero(limbs)] * n
-            values = arr.to_multidoubles()
-            return values + out[len(values):]
-
-        scalar = convolve_direct(padded(x), padded(y))
-        for k in range(n):
-            diff = abs((vec[k] - scalar[k]).to_fraction())
-            assert diff < Fraction(2) ** (-52 * limbs + 10)
-
-    def test_mdseries_multiplication(self, nprng):
-        a = MDSeries.random(6, 3, nprng)
-        b = MDSeries.random(6, 3, nprng)
-        product = a * b
-        expected = a.to_power_series() * b.to_power_series()
-        assert product.to_power_series().max_abs_error(expected) < 1e-40
+            convolve_rows(xr.reshape(2, 1, 3), yr.reshape(4, 1, 3), 2)
 
 
 class TestOperationCounts:

@@ -12,12 +12,13 @@ from repro.errors import ConvergenceError, SingularSystemError
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
+    TrackOptions,
     lu_solve,
     matrix_vector_product,
     newton_power_series,
     newton_power_series_batch,
     residual_norm,
+    track_paths,
 )
 from repro.series import PowerSeries, random_fraction_series
 
@@ -282,6 +283,20 @@ class TestBatchedNewton:
             )
 
 
+def _grid(step: float, **overrides) -> TrackOptions:
+    """Fixed-step tracking options: no step growth, no retries."""
+    return TrackOptions().override(
+        step={"initial": step, "grow": 1.0},
+        retry={"max_rejections": 0, "precision_ladder": ()},
+        **overrides,
+    )
+
+
+def _track(builder, start, t_end=1.0, **options):
+    """Track one path and return its :class:`PathTrackResult`."""
+    return track_paths(builder, [start], options=_grid(**options), t_end=t_end).results[0]
+
+
 class TestPathTracker:
     @staticmethod
     def _builder(t0: float, degree: int) -> PolynomialSystem:
@@ -292,8 +307,7 @@ class TestPathTracker:
         return PolynomialSystem([p])
 
     def test_tracks_sqrt_path(self):
-        tracker = TaylorPathTracker(self._builder, degree=6, step=0.25)
-        result = tracker.track([1.0], 0.0, 1.0)
+        result = _track(self._builder, [1.0], degree=6, step=0.25)
         assert result.success
         assert result.final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
         assert len(result.points) == 5  # t = 0, .25, .5, .75, 1.0
@@ -303,28 +317,27 @@ class TestPathTracker:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            TaylorPathTracker(self._builder, degree=0)
+            _grid(0.25, degree=0)
         with pytest.raises(ValueError):
-            TaylorPathTracker(self._builder, step=0.0)
+            _grid(0.0)
 
     def test_partial_range(self):
-        tracker = TaylorPathTracker(self._builder, degree=5, step=0.5)
-        result = tracker.track([1.0], 0.0, 0.5)
+        result = _track(self._builder, [1.0], t_end=0.5, degree=5, step=0.5)
         assert result.success
         assert result.final_values[0] == pytest.approx(math.sqrt(1.5), abs=1e-9)
 
     def test_track_many_matches_single_path(self):
-        tracker = TaylorPathTracker(self._builder, degree=6, step=0.25)
-        single = tracker.track([1.0], 0.0, 1.0)
-        many = tracker.track_many([[1.0], [-1.0]], 0.0, 1.0)
+        options = _grid(0.25, degree=6)
+        single = track_paths(self._builder, [[1.0]], options=options).results[0]
+        many = track_paths(self._builder, [[1.0], [-1.0]], options=options).results
         assert all(result.success for result in many)
-        # Path 0 is the same sqrt branch as the scalar tracker...
+        # Path 0 is the same sqrt branch as the one-path track...
         assert len(many[0].points) == len(single.points)
         for mine, theirs in zip(many[0].points, single.points):
             assert mine.t == theirs.t
             assert mine.values == theirs.values
             assert mine.newton_iterations == theirs.newton_iterations
-        # ...and path 1 follows the negative branch in lockstep.
+        # ...and path 1 follows the negative branch on the same grid.
         assert many[1].final_values[0] == pytest.approx(-math.sqrt(2.0), abs=1e-9)
         for point in many[1].points:
             assert point.values[0] == pytest.approx(-math.sqrt(1.0 + point.t), abs=1e-8)
@@ -336,14 +349,10 @@ class TestPathTracker:
         ten steps; without snapping onto ``t_end`` the tracker used to emit a
         spurious twelfth micro-step at that off-grid parameter value.
         """
-        tracker = TaylorPathTracker(self._builder, degree=6, step=0.1)
-        result = tracker.track([1.0], 0.0, 1.0)
+        result = _track(self._builder, [1.0], degree=6, step=0.1)
         assert result.success
         assert len(result.points) == 11
         assert result.points[-1].t == 1.0
-        many = tracker.track_many([[1.0]], 0.0, 1.0)
-        assert len(many[0].points) == 11
-        assert many[0].points[-1].t == 1.0
 
     @staticmethod
     def _fraction_builder(t0: float, degree: int) -> PolynomialSystem:
@@ -362,8 +371,7 @@ class TestPathTracker:
         whole track then silently ran in doubles.  The linear path
         x = 1 + t over [0, 1] must stay rational and exact at every point.
         """
-        tracker = TaylorPathTracker(self._fraction_builder, degree=3, step=0.25)
-        result = tracker.track([Fraction(1)], 0.0, 1.0)
+        result = _track(self._fraction_builder, [Fraction(1)], degree=3, step=0.25)
         assert result.success
         assert len(result.points) == 5
         for point in result.points:
@@ -373,11 +381,11 @@ class TestPathTracker:
         assert result.final_values[0] == Fraction(2)
 
     def test_track_many_drops_failing_paths(self):
-        tracker = TaylorPathTracker(
-            self._builder, degree=6, step=0.25, newton_iterations=6, tolerance=1e-10
-        )
+        options = _grid(0.25, degree=6, newton_iterations=6, tolerance=1e-10)
         # A start far from any solution branch fails; the good path survives.
-        results = tracker.track_many([[1.0], [250.0]], 0.0, 1.0)
+        report = track_paths(self._builder, [[1.0], [250.0]], options=options)
+        results = report.results
         assert results[0].success
         assert not results[1].success
+        assert report.statuses[1].reason == "newton"
         assert results[0].final_values[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)

@@ -1,4 +1,10 @@
-"""Tests for the structure-of-arrays MDArray type."""
+"""Tests for the structure-of-arrays multidouble kernels of :mod:`repro.md.vecops`.
+
+The kernels work on limb rows — one NumPy array per limb, leading limb
+first — and must equal the scalar :class:`MultiDouble` operators limb for
+limb at every limb count, which is what lets the tensor backend stand in for
+the scalar oracle bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -7,160 +13,87 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.md import MDArray, MultiDouble
+from conftest import limb_rows
+from repro.md import MultiDouble, md_add_rows, md_mul_rows, md_scale_rows, md_sub_rows
+
+LIMBS = (1, 2, 3, 4, 5, 8, 10)
 
 
-def exact(values):
-    return [v.to_fraction() for v in values]
-
-
-class TestConstruction:
-    def test_zeros(self):
-        a = MDArray.zeros(5, 4)
-        assert a.size == 5
-        assert a.limbs == 4
-        assert all(v.is_zero() for v in a.to_multidoubles())
-
-    def test_from_doubles(self):
-        a = MDArray.from_doubles([0.5, -1.25, 3.0], 3)
-        assert a.size == 3
-        assert [v.to_fraction() for v in a.to_multidoubles()] == [
-            Fraction(1, 2),
-            Fraction(-5, 4),
-            Fraction(3),
-        ]
-
-    def test_from_multidoubles_roundtrip(self, rng):
-        values = [MultiDouble.random(5, rng) for _ in range(7)]
-        array = MDArray.from_multidoubles(values)
-        back = array.to_multidoubles()
-        assert all(a == b for a, b in zip(values, back))
-
-    def test_from_multidoubles_mixed_precision(self, rng):
-        values = [MultiDouble.random(2, rng), MultiDouble.random(8, rng)]
-        array = MDArray.from_multidoubles(values)
-        assert array.limbs == 8
-
-    def test_random_shape_and_range(self, nprng):
-        a = MDArray.random(20, 4, nprng)
-        assert a.size == 20
-        assert np.all(np.abs(a.to_float()) <= 1.0 + 1e-12)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            MDArray(np.zeros(5))
-
-    def test_len_and_repr(self):
-        a = MDArray.zeros(3, 2)
-        assert len(a) == 3
-        assert "MDArray" in repr(a)
-
-
-class TestElementAccess:
-    def test_getitem_scalar(self, nprng):
-        a = MDArray.random(4, 3, nprng)
-        element = a[2]
-        assert isinstance(element, MultiDouble)
-        assert element.precision.limbs == 3
-
-    def test_getitem_slice(self, nprng):
-        a = MDArray.random(6, 2, nprng)
-        b = a[1:4]
-        assert isinstance(b, MDArray)
-        assert b.size == 3
-        assert b[0] == a[1]
-
-    def test_setitem(self):
-        a = MDArray.zeros(3, 4)
-        value = MultiDouble.from_fraction(Fraction(1, 3), 4)
-        a[1] = value
-        assert a[1] == value
-        a[2] = 2.5
-        assert a[2].to_fraction() == Fraction(5, 2)
+def _kernel(op, x, y, limbs: int) -> np.ndarray:
+    return np.array(op(x, y, limbs))
 
 
 class TestArithmetic:
-    @pytest.mark.parametrize("limbs", (1, 2, 4, 10))
-    def test_addition_matches_scalar(self, limbs, nprng):
-        x = MDArray.random(16, limbs, nprng)
-        y = MDArray.random(16, limbs, nprng)
-        total = x + y
-        for i in range(16):
-            expected = x[i] + y[i]
-            diff = abs((total[i] - expected).to_fraction())
-            scale = max(abs(expected.to_fraction()), Fraction(1))
-            assert diff / scale < Fraction(2) ** (-52 * limbs + 6)
+    @pytest.mark.parametrize("limbs", LIMBS)
+    def test_addition_matches_scalar(self, limbs, md_rows):
+        x, xr = md_rows(16, limbs)
+        y, yr = md_rows(16, limbs)
+        expected = limb_rows([a + b for a, b in zip(x, y)], limbs)
+        assert np.array_equal(_kernel(md_add_rows, xr, yr, limbs), expected)
+
+    @pytest.mark.parametrize("limbs", LIMBS)
+    def test_subtraction_matches_scalar(self, limbs, md_rows):
+        x, xr = md_rows(16, limbs)
+        y, yr = md_rows(16, limbs)
+        expected = limb_rows([a - b for a, b in zip(x, y)], limbs)
+        assert np.array_equal(_kernel(md_sub_rows, xr, yr, limbs), expected)
+
+    @pytest.mark.parametrize("limbs", LIMBS)
+    def test_multiplication_matches_scalar(self, limbs, md_rows):
+        x, xr = md_rows(16, limbs)
+        y, yr = md_rows(16, limbs)
+        expected = limb_rows([a * b for a, b in zip(x, y)], limbs)
+        assert np.array_equal(_kernel(md_mul_rows, xr, yr, limbs), expected)
+
+    @pytest.mark.parametrize("limbs", LIMBS)
+    def test_scale_matches_scalar(self, limbs, md_rows, nprng):
+        x, xr = md_rows(16, limbs)
+        factors = np.concatenate([nprng.uniform(-4.0, 4.0, 12), [3.0, -2.0, 0.5, 7.0]])
+        expected = limb_rows([a * float(f) for a, f in zip(x, factors)], limbs)
+        assert np.array_equal(_kernel(md_scale_rows, xr, factors, limbs), expected)
 
     @pytest.mark.parametrize("limbs", (2, 4, 10))
-    def test_multiplication_matches_exact(self, limbs, nprng):
-        x = MDArray.random(12, limbs, nprng)
-        y = MDArray.random(12, limbs, nprng)
-        product = x * y
+    def test_multiplication_matches_exact(self, limbs, md_rows):
+        x, xr = md_rows(12, limbs)
+        y, yr = md_rows(12, limbs)
+        product = _kernel(md_mul_rows, xr, yr, limbs)
         for i in range(12):
+            got = MultiDouble(product[:, i]).to_fraction()
             expected = x[i].to_fraction() * y[i].to_fraction()
-            diff = abs(product[i].to_fraction() - expected)
             scale = max(abs(expected), Fraction(1, 10))
-            assert diff / scale < Fraction(2) ** (-52 * limbs + 8)
+            assert abs(got - expected) / scale < Fraction(2) ** (-52 * limbs + 8)
 
-    def test_subtraction_and_negation(self, nprng):
-        x = MDArray.random(8, 3, nprng)
-        zero = x - x
-        assert all(v.is_zero() for v in zero.to_multidoubles())
-        assert ((-x) + x).max_abs() == 0.0
+    def test_subtraction_and_negation(self, md_rows):
+        _, xr = md_rows(8, 3)
+        assert not _kernel(md_sub_rows, xr, xr, 3).any()
+        negated = _kernel(md_scale_rows, xr, np.full(8, -1.0), 3)
+        assert not _kernel(md_add_rows, negated, xr, 3).any()
 
-    def test_scalar_broadcast(self, nprng):
-        x = MDArray.random(5, 2, nprng)
-        shifted = x + 1.0
-        for i in range(5):
-            assert shifted[i] == x[i] + 1
+    def test_scalar_broadcast(self, md_rows):
+        """A plain double broadcasts across every row, as a one-limb value."""
+        x, xr = md_rows(5, 2)
+        one = [np.float64(1.0), np.float64(0.0)]
+        expected = limb_rows([value + 1 for value in x], 2)
+        assert np.array_equal(_kernel(md_add_rows, xr, one, 2), expected)
 
-    def test_multidouble_broadcast(self, nprng):
-        x = MDArray.random(5, 4, nprng)
+    def test_multidouble_broadcast(self, md_rows):
+        """A ``(limbs, 1)`` column broadcasts along the row — the pattern
+        :func:`repro.core.tensor.convolve_rows` uses for each coefficient."""
+        x, xr = md_rows(5, 4)
         c = MultiDouble.from_fraction(Fraction(1, 3), 4)
-        scaled = x * c
-        for i in range(5):
-            diff = abs((scaled[i] - x[i] * c).to_fraction())
-            assert diff < Fraction(2) ** (-52 * 4 + 8)
+        column = limb_rows([c], 4)
+        expected = limb_rows([value * c for value in x], 4)
+        assert np.array_equal(_kernel(md_mul_rows, xr, column, 4), expected)
 
-    def test_scale_by_double(self, nprng):
-        x = MDArray.random(6, 3, nprng)
-        y = x.scale(3.0)
-        for i in range(6):
-            assert abs((y[i] - x[i] * 3).to_fraction()) < Fraction(2) ** (-140)
-
-    def test_sum_reduction(self, nprng):
-        x = MDArray.random(10, 4, nprng)
-        total = x.sum()
-        expected = sum((v.to_fraction() for v in x.to_multidoubles()), Fraction(0))
-        assert abs(total.to_fraction() - expected) < Fraction(2) ** (-52 * 4 + 10)
-
-    def test_incompatible_operand(self):
-        with pytest.raises(TypeError):
-            MDArray.zeros(2, 2) + "nope"  # type: ignore[operand]
-
-
-class TestConversions:
-    def test_to_float(self):
-        a = MDArray.from_doubles([1.0, -2.0, 0.5], 4)
-        assert np.allclose(a.to_float(), [1.0, -2.0, 0.5])
-
-    def test_precision_change(self, nprng):
-        a = MDArray.random(5, 8, nprng)
-        down = a.to_precision(2)
-        up = down.to_precision(8)
-        assert down.limbs == 2
-        assert up.limbs == 8
-        assert np.allclose(a.to_float(), down.to_float())
-
-    def test_allclose(self, nprng):
-        a = MDArray.random(5, 4, nprng)
-        b = a.copy()
-        assert a.allclose(b)
-        b.data[0, 0] += 1.0e-3
-        assert not a.allclose(b)
-
-    def test_copy_is_independent(self, nprng):
-        a = MDArray.random(3, 2, nprng)
-        b = a.copy()
-        b.data[0, 0] = 42.0
-        assert a.data[0, 0] != 42.0
+    def test_sum_reduction(self, md_rows):
+        """Folding a row with additions accumulates like the scalar fold."""
+        x, xr = md_rows(10, 4)
+        total = xr[:, :1]
+        for k in range(1, 10):
+            total = _kernel(md_add_rows, total, xr[:, k : k + 1], 4)
+        scalar = x[0]
+        for value in x[1:]:
+            scalar = scalar + value
+        assert np.array_equal(total[:, 0], np.array(scalar.limbs))
+        exact = sum((value.to_fraction() for value in x), Fraction(0))
+        assert abs(MultiDouble(total[:, 0]).to_fraction() - exact) < Fraction(2) ** (-52 * 4 + 10)

@@ -24,6 +24,7 @@ import json
 
 import pytest
 
+from repro.core import ScheduleCache
 from repro.homotopy import PathScheduler, TrackOptions, track_paths
 from repro.obs import (
     DEFAULT_OBS_CONFIG,
@@ -354,7 +355,10 @@ class TestInlineIntegration:
     def test_enabled_tracking_covers_the_whole_stack(self):
         tel = get_telemetry()
         starts = [[2.0], [1.0], [2.0], [1.0]]
-        report = track_paths(retry_family(), starts, _RETRY_OPTIONS, telemetry=True)
+        # A cold cache of its own: the miss assertions below must not depend
+        # on which tests warmed the process-wide cache first.
+        family = retry_family(cache=ScheduleCache())
+        report = track_paths(family, starts, _RETRY_OPTIONS, telemetry=True)
         assert tel.enabled is False  # the per-call layer was restored
         snap = tel.snapshot()
 

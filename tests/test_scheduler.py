@@ -3,20 +3,19 @@
 The contracts under test are the tracker redesign's headline guarantees:
 
 * healthy paths run by the adaptive scheduler (growth disabled) reproduce
-  the lockstep tracker **bit for bit**, while the surviving fleet packs its
-  slot tensor exactly **once** — masking replaces repacking;
+  a fixed-grid reference — one Newton refinement per grid point — **bit for
+  bit**, while the surviving fleet packs its slot tensor exactly **once** —
+  masking replaces repacking;
 * paths that fail at the working precision escalate up the configured
   precision ladder as one fresh lifted fleet per rung, without touching the
   bits of the paths that already finished;
-* the one :class:`TrackOptions` object carries every knob, the tracker's
-  deprecated keyword signature builds a bit-identical shim, and mixing the
-  two styles is rejected.
+* the one :class:`TrackOptions` object carries every knob, with nested
+  sub-objects, mappings and flat aliases layered by :meth:`override`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import pytest
 
@@ -29,11 +28,11 @@ from repro.homotopy import (
     PolynomialSystem,
     RetryPolicy,
     StepControl,
-    TaylorPathTracker,
     TrackOptions,
     align_path_points,
     batch_lu_solve,
     lift_value,
+    newton_power_series,
     track_paths,
 )
 from repro.md import ComplexMD, MultiDouble
@@ -74,8 +73,11 @@ def _md(value: float, precision: int) -> MultiDouble:
     return MultiDouble.from_float(float(value), precision)
 
 
-def retry_family(precision: int = 2):
-    """(x - u(t)) (x - 1) = 0 with u(t) = 2 + B t^2: one hard, one easy root."""
+def retry_family(precision: int = 2, cache=None):
+    """(x - u(t)) (x - 1) = 0 with u(t) = 2 + B t^2: one hard, one easy root.
+
+    ``cache`` is the family's schedule cache (``None``: the process-wide one).
+    """
 
     def build(t0: float, degree: int) -> PolynomialSystem:
         poly = parse_polynomial("x1^2 + x1", degree=degree, kind="md", precision=precision)
@@ -90,7 +92,7 @@ def retry_family(precision: int = 2):
         negated = [-(c) for c in u]
         negated[0] = -(_md(1.0, precision) + u[0])
         linear.coefficient.coefficients[:] = negated
-        return PolynomialSystem([poly])
+        return PolynomialSystem([poly], cache=cache)
 
     return build
 
@@ -104,6 +106,36 @@ _RETRY_OPTIONS = TrackOptions().override(
 )
 
 
+def _fixed_grid_reference(family, start, options, t_end=1.0):
+    """A fixed-step track written out by hand, as bit signatures per point.
+
+    At each grid point one :func:`newton_power_series` call refines the
+    constant start series; the next start is the refined series evaluated
+    at the step.  The grid of the callers (step 0.25 over [0, 1]) is exact
+    in doubles, so no snapping onto ``t_end`` is needed.
+    """
+    h = options.step.initial
+    t, values, points = 0.0, list(start), []
+    while True:
+        system = family(t, options.degree).with_mode(options.mode)
+        initial = [PowerSeries.constant(v, options.degree) for v in values]
+        newton = newton_power_series(system, initial, options=options.newton)
+        assert newton.converged
+        points.append(
+            (
+                t,
+                tuple(_bits(s.constant_term()) for s in newton.solution),
+                newton.final_residual,
+                newton.iterations,
+            )
+        )
+        if t >= t_end:
+            return points
+        step = min(h, t_end - t)
+        values = [series.evaluate(step) for series in newton.solution]
+        t += step
+
+
 # --------------------------------------------------------------------- #
 # the options object
 # --------------------------------------------------------------------- #
@@ -115,7 +147,6 @@ class TestTrackOptions:
         assert options.newton.max_iterations == 6
         assert options.newton.tolerance == 1.0e-10
         assert options.mode is None
-        assert options.scheduler == "adaptive"
 
     def test_flat_aliases_route_to_nested_fields(self):
         options = TrackOptions().override(
@@ -158,8 +189,6 @@ class TestTrackOptions:
         with pytest.raises(ValueError):
             TrackOptions(degree=0)
         with pytest.raises(ValueError):
-            TrackOptions(scheduler="chaotic")
-        with pytest.raises(ValueError):
             NewtonOptions(solver="gpu")
         with pytest.raises(ValueError):
             StepControl(grow=0.5)
@@ -185,46 +214,14 @@ class TestTrackOptions:
 
 
 # --------------------------------------------------------------------- #
-# the deprecated keyword shims
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_tracker_legacy_keywords_warn_and_match(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = TaylorPathTracker(sqrt_family, degree=6, step=0.25)
-        modern = TaylorPathTracker(
-            sqrt_family, options=TrackOptions().override(degree=6, step=0.25)
-        )
-        old = legacy.track([1.0], 0.0, 1.0)
-        new = modern.track([1.0], 0.0, 1.0)
-        assert old.success and new.success
-        assert [_point_bits(p) for p in old.points] == [
-            _point_bits(p) for p in new.points
-        ]
-
-    def test_tracker_rejects_mixed_styles(self):
-        with pytest.raises(ValueError, match="not both"):
-            TaylorPathTracker(sqrt_family, degree=6, options=TrackOptions())
-
-    def test_tracker_options_only_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TaylorPathTracker(sqrt_family, options=TrackOptions())
-            TaylorPathTracker(sqrt_family)
-
-    def test_deprecation_warnings_point_at_the_caller(self):
-        """Every shim warns with ``stacklevel=2``: the reported location is
-        this file — the caller — never the library frame that raised it."""
-        with pytest.warns(DeprecationWarning) as record:
-            TaylorPathTracker(sqrt_family, degree=4)
-        assert [w.filename for w in record] == [__file__]
-
-
-# --------------------------------------------------------------------- #
 # the adaptive scheduler
 # --------------------------------------------------------------------- #
 class TestAdaptiveScheduler:
     def test_matches_lockstep_bit_for_bit_with_one_pack(self):
-        """Growth disabled, the fleet replays the lockstep grid exactly.
+        """Growth disabled, the fleet replays the fixed grid exactly.
+
+        Every point equals :func:`_fixed_grid_reference` (one Newton call per
+        grid point, paths stepped in lockstep) bit for bit.
 
         The run must also stay masked-resident: one fleet, one slot-tensor
         pack for the whole track — converged paths are masked out, never
@@ -235,20 +232,16 @@ class TestAdaptiveScheduler:
             degree=6, mode="vectorized", step={"initial": 0.25, "grow": 1.0}
         )
         report = track_paths(sqrt_family, starts, options=options)
-        tracker = TaylorPathTracker(
-            sqrt_family, options=options.override(scheduler="lockstep")
-        )
-        lockstep = tracker.track_many(starts, 0.0, 1.0)
 
         assert report.n_converged == 3
         assert len(report.fleets) == 1
         assert report.fleets[0]["packs"] == 1
         assert report.fleets[0]["resident"]
-        for adaptive, reference in zip(report.results, lockstep):
-            assert adaptive.success == reference.success
-            assert [_point_bits(p) for p in adaptive.points] == [
-                _point_bits(p) for p in reference.points
-            ]
+        for adaptive, start in zip(report.results, starts):
+            assert adaptive.success
+            assert [
+                (*_point_bits(p), p.newton_iterations) for p in adaptive.points
+            ] == _fixed_grid_reference(sqrt_family, start, options)
 
     def test_step_growth_shortens_the_track(self):
         # A degree-6 refinement from a constant prediction takes 4 Newton
@@ -432,28 +425,6 @@ class TestRetryLadder:
         lifted = lift_value(3.0 + 4.0j, 2)
         assert isinstance(lifted, ComplexMD)
         assert lifted.to_complex() == 3.0 + 4.0j
-
-
-# --------------------------------------------------------------------- #
-# the lockstep engine behind the same facade
-# --------------------------------------------------------------------- #
-class TestLockstepFacade:
-    def test_lockstep_scheduler_wraps_track_many(self):
-        starts = [[1.0], [-1.0]]
-        options = TrackOptions().override(degree=6, step=0.25, scheduler="lockstep")
-        report = track_paths(sqrt_family, starts, options=options)
-        reference = TaylorPathTracker(
-            sqrt_family, options=options
-        ).track_many(starts, 0.0, 1.0)
-        assert report.n_paths == 2
-        assert report.n_converged == 2
-        assert report.fleets == []  # no resident fleet bookkeeping here
-        for status in report.statuses:
-            assert status.retries == 0 and status.rejections == 0
-        for wrapped, direct in zip(report.results, reference):
-            assert [_point_bits(p) for p in wrapped.points] == [
-                _point_bits(p) for p in direct.points
-            ]
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import limb_rows
 from repro.circuits.testpolys import (
     make_polynomial_from_structure,
     p1_structure,
@@ -30,11 +31,12 @@ from repro.core import (
 from repro.homotopy import (
     NewtonOptions,
     PolynomialSystem,
-    TaylorPathTracker,
+    TrackOptions,
     newton_power_series_batch,
+    track_paths,
 )
-from repro.md import MDArray, MultiDouble
-from repro.series import PowerSeries, convolve_vectorized, random_series_vector
+from repro.md import MultiDouble
+from repro.series import PowerSeries, convolve_direct, random_series_vector
 
 SETTINGS = settings(
     max_examples=25,
@@ -344,16 +346,28 @@ class TestSlotTensorRoundTrip:
 # the batched convolution kernel
 # --------------------------------------------------------------------- #
 class TestConvolveRows:
+    """Row parity with ``convolve_direct`` is tested in test_convolution.py."""
+
     @pytest.mark.parametrize("limbs", (1, 2, 4))
-    def test_many_triples_match_convolve_vectorized(self, limbs, nprng):
-        """One whole-layer sweep equals per-pair convolve_vectorized calls."""
+    def test_many_triples_match_convolve_vectorized(self, limbs, md_rows):
+        """One whole-layer sweep equals per-pair single-row sweeps.
+
+        The batched kernel must not couple its rows: each of the ``m`` pairs
+        convolved together equals that pair convolved alone, and both equal
+        ``convolve_direct`` on the MultiDouble values, limb for limb.
+        """
         m, n = 5, 7
-        x = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
-        y = np.stack([MDArray.random(n, limbs, nprng).data for _ in range(m)], axis=1)
-        out = convolve_rows(x, y, limbs)
+        x, xr = md_rows(m * n, limbs)
+        y, yr = md_rows(m * n, limbs)
+        xr = xr.reshape(limbs, m, n)
+        yr = yr.reshape(limbs, m, n)
+        out = convolve_rows(xr, yr, limbs)
         for j in range(m):
-            expected = convolve_vectorized(MDArray(x[:, j, :]), MDArray(y[:, j, :]))
-            assert np.array_equal(out[:, j, :], expected.data)
+            alone = convolve_rows(xr[:, j : j + 1, :], yr[:, j : j + 1, :], limbs)
+            assert np.array_equal(out[:, j, :], alone[:, 0, :])
+            row = slice(j * n, (j + 1) * n)
+            expected = convolve_direct(x[row], y[row])
+            assert np.array_equal(out[:, j, :], limb_rows(expected, limbs))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -523,10 +537,15 @@ class TestHomotopyWiring:
             return PolynomialSystem([polynomial], mode="staged", cache=cache)
 
         starts = [[0.0], [0.0]]
-        staged = TaylorPathTracker(builder, degree=4, step=0.25).track_many(starts)
-        vectorized = TaylorPathTracker(
-            builder, degree=4, step=0.25, mode="vectorized"
-        ).track_many(starts)
+        options = TrackOptions().override(
+            degree=4,
+            step={"initial": 0.25, "grow": 1.0},
+            retry={"max_rejections": 0, "precision_ladder": ()},
+        )
+        staged = track_paths(builder, starts, options=options).results
+        vectorized = track_paths(
+            builder, starts, options=options.override(mode="vectorized")
+        ).results
         for a, b in zip(staged, vectorized):
             assert a.success and b.success
             assert len(a.points) == len(b.points)
